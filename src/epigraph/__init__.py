@@ -34,6 +34,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     NodeSet,
+    NodeSetSequence,
     SizeCapError,
     cut,
     cut_after_toggle,

@@ -11,9 +11,18 @@ one unrestricted first step, then a monotone tail. Its value on a bag A is
 
     min over B with |A \\ B| <= 1 of max(cut(B), g(B)),
 
-where g is the monotone-tail table. An unrestricted bottleneck search over
-the full 2^n crusade graph (:func:`oracle_resilience`) exists purely to
-falsify that structure at small n if it were misread.
+where g is the monotone-tail table. One kernel, :func:`_first_steps`,
+enumerates those first steps B for a single bag; :func:`resilience` takes
+its minimum and :func:`optimal_crusade` its argmin. The kernel's row order
+(removed vertex by ascending id, no removal last, then ascending bag mask)
+is the certificates' tie-break, so no sort is needed. :func:`resilience_table`
+computes the same minimum for every bag at once by two subset sweeps.
+
+The unrestricted bottleneck searches over the full 2^n crusade graph
+(:func:`oracle_resilience`, :func:`oracle_resilience_table`) exist purely
+to falsify that structure at small n if it were misread. They deliberately
+keep their own enumeration of steps: sharing the kernel would let one bug
+cancel out in the comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, SizeCapError, _mask_from, cut, cut_table, popcount_array
+from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _mask_from, cut, cut_table, popcount_array
 
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 
@@ -75,9 +84,10 @@ def crusade_width(g: Graph, bags: Sequence) -> int:
 def monotone_table(g: Graph, *, max_n: int = 24, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     """Width of the best pure-removal clearing of every subset (int16, 2^n).
 
-    Recursion: g(empty)=0 and g(B) = min over v in B of
-    max(cut(B-v), g(B-v)). Filled one cardinality layer at a time so every
-    lookup hits the previous layers only.
+    Recursion: g(empty)=0 and g(B) = min over v in B of f(B-v), where
+    f = max(cut, g). Filled one cardinality layer at a time. f stays INF16
+    on the layers not yet finished, so toggling a vertex v not in B lands
+    there and never wins the min: each vertex costs one gather, no masking.
     """
     if g.n > max_n:
         raise SizeCapError(f"monotone table for n={g.n} exceeds cap {max_n}")
@@ -86,20 +96,18 @@ def monotone_table(g: Graph, *, max_n: int = 24, cuts: Optional[np.ndarray] = No
     n = g.n
     size = 1 << n
     cuts = cut_table(g) if cuts is None else cuts
-    table = np.full(size, INF16, dtype=np.int16)
-    table[0] = 0
+    table = np.zeros(size, dtype=np.int16)
+    f = np.full(size, INF16, dtype=np.int16)
+    f[0] = cuts[0]
     all_masks = np.arange(size, dtype=np.uint32)
     pc = popcount_array(all_masks)
     for k in range(1, n + 1):
         layer = all_masks[pc == k]
-        best = np.full(len(layer), INF16, dtype=np.int16)
-        for v in range(n):
-            bit = np.uint32(1 << v)
-            sel = (layer & bit) != 0
-            prev = layer[sel] ^ bit
-            cand = np.maximum(cuts[prev], table[prev])
-            best[sel] = np.minimum(best[sel], cand)
+        best = f[layer ^ np.uint32(1)]
+        for v in range(1, n):
+            np.minimum(best, f[layer ^ np.uint32(1 << v)], out=best)
         table[layer] = best
+        f[layer] = np.maximum(cuts[layer], best)
     return table
 
 
@@ -186,40 +194,35 @@ def resilience_table(g: Graph, *, max_n: int = 15) -> ResilienceTable:
     return ResilienceTable(graph=g, cut=cuts, g=mono, gamma=gamma)
 
 
-def _first_step_candidates(g: Graph, mask: int):
-    """Yield (removed_vertex_or_None, base_mask) for each legal removal choice."""
-    yield None, mask
-    m = mask
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1, mask ^ low
-        m ^= low
+def _first_steps(g: Graph, mask: int, tables: ResilienceTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every legal first step B from bag A, with its width max(cut(B), g(B)).
+
+    Returns ``(width, bags)``, both of shape (|A|+1, 2^(n-|A|)). Row i
+    removes A's i-th vertex in ascending id order, the last row removes
+    none, and each row adds every subset of A's complement in ascending
+    mask order. Row-major order is therefore the certificate tie-break.
+    """
+    spread = np.zeros(1, dtype=np.uint32)  # subsets of the complement, ascending
+    for v in range(g.n):
+        if not (mask >> v) & 1:
+            spread = np.concatenate((spread, spread | np.uint32(1 << v)))
+    bases = [mask ^ (1 << v) for v in range(g.n) if (mask >> v) & 1] + [mask]
+    bags = np.array(bases, dtype=np.uint32)[:, None] | spread
+    return np.maximum(tables.cut[bags], tables.g[bags]), bags
 
 
 def resilience(g: Graph, bag, tables: Optional[ResilienceTable] = None, *, max_n: int = 15) -> int:
-    """Resilience of one bag by direct first-step enumeration.
+    """Resilience of one bag: the least width over its legal first steps.
 
-    Enumerates every legal first step B = (A u D) - v with D a subset of A's
-    complement and v in A or absent, scoring max(cut(B), g(B)). The table
-    route (:func:`resilience_table`) computes the same minimum for all bags
-    at once; this form is kept for single queries and as a second route in
-    tests.
+    Needs only the cut and monotone tables, so without ``tables`` it builds
+    a :func:`monotone_context`. The table route (:func:`resilience_table`)
+    computes the same minimum for all bags at once; this form is kept for
+    single queries and as a second route in tests.
     """
     mask = _mask_from(bag, g.n)
     if tables is None:
-        tables = resilience_table(g, max_n=max_n)
-    cuts, mono = tables.cut, tables.g
-    comp_positions = [v for v in range(g.n) if not (mask >> v) & 1]
-    subs = np.arange(1 << len(comp_positions), dtype=np.uint32)
-    spread = np.zeros(len(subs), dtype=np.uint32)
-    for j, pos in enumerate(comp_positions):
-        spread |= ((subs >> j) & 1) << np.uint32(pos)
-    value = INF16
-    for _, base in _first_step_candidates(g, mask):
-        cand_masks = spread | np.uint32(base)
-        cand = np.maximum(cuts[cand_masks], mono[cand_masks])
-        value = min(value, cand.min())
-    return int(value)
+        tables = monotone_context(g, max_n=max_n)
+    return int(_first_steps(g, mask, tables)[0].min())
 
 
 def improvement_mask(g: Graph, tables: ResilienceTable) -> np.ndarray:
@@ -227,30 +230,31 @@ def improvement_mask(g: Graph, tables: ResilienceTable) -> np.ndarray:
     if tables.gamma is None:
         raise ValueError("improvement bags need the full resilience table")
     gamma = tables.gamma
-    size = len(gamma)
-    member = np.zeros(size, dtype=bool)
-    masks = np.arange(size, dtype=np.uint32)
+    member = np.zeros(len(gamma), dtype=bool)
     for v in range(g.n):
-        bit = np.uint32(1 << v)
-        sel = (masks & bit) != 0
-        member[sel] |= gamma[masks[sel] ^ bit] < gamma[sel]
+        gpair = gamma.reshape(-1, 2, 1 << v)
+        member.reshape(-1, 2, 1 << v)[:, 1, :] |= gpair[:, 0, :] < gpair[:, 1, :]
     return member
 
 
-def improvement_bags(g: Graph, tables: ResilienceTable) -> list[NodeSet]:
-    """Bags A with some v in A such that gamma(A - v) < gamma(A)."""
-    return [NodeSet(int(m), g.n) for m in np.flatnonzero(improvement_mask(g, tables))]
+def improvement_bags(g: Graph, tables: ResilienceTable) -> NodeSetSequence:
+    """Bags A with some v in A such that gamma(A - v) < gamma(A), ascending.
+
+    A lazy sequence over the members' masks: at n=20 a quarter of all 2^n
+    bags can qualify, so no NodeSet is built until one is read.
+    """
+    return NodeSetSequence(np.flatnonzero(improvement_mask(g, tables)), g.n)
 
 
 def optimal_crusade(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> Crusade:
     """A witness crusade achieving gamma(A), deterministically tie-broken.
 
-    First step: among bags B != A with |A \\ B| <= 1 minimizing
-    max(cut(B), g(B)), prefer the lowest removed-vertex id (no removal sorts
-    last), then the smallest bag bitmask. Tail: repeatedly remove the vertex
-    minimizing max(cut(B-v), g(B-v)), lowest id on ties. The tail is strictly
-    nested, so the result has distinct consecutive bags and pure removals
-    from the second step on.
+    First step: the argmin of :func:`_first_steps` over B != A, whose row
+    order prefers the lowest removed-vertex id (no removal last), then the
+    smallest bag bitmask. Tail: repeatedly remove the vertex minimizing
+    max(cut(B-v), g(B-v)), lowest id on ties. The tail is strictly nested,
+    so the result has distinct consecutive bags and pure removals from the
+    second step on.
     """
     mask = _mask_from(bag, g.n)
     if mask == 0:
@@ -258,26 +262,11 @@ def optimal_crusade(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> 
     if tables is None:
         tables = resilience_table(g)
     cuts, mono = tables.cut, tables.g
-    comp_positions = [v for v in range(g.n) if not (mask >> v) & 1]
-    subs = range(1 << len(comp_positions))
-    best = None  # (value, removed_sort_key, bag_mask)
-    for removed, base in _first_step_candidates(g, mask):
-        rkey = g.n if removed is None else removed
-        for s in subs:
-            d = 0
-            for j, pos in enumerate(comp_positions):
-                if (s >> j) & 1:
-                    d |= 1 << pos
-            b = base | d
-            if b == mask:
-                continue  # a repeated bag never beats some pure removal
-            value = max(int(cuts[b]), int(mono[b]))
-            key = (value, rkey, b)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    bags = [mask, best[2]]
-    cur = best[2]
+    width, steps = _first_steps(g, mask, tables)
+    width[-1, 0] = INF16  # B = A: a repeated bag never beats some pure removal
+    first = int(width.argmin())
+    bags = [mask, int(steps.flat[first])]
+    cur = bags[1]
     while cur:
         choice = None
         m = cur
@@ -292,7 +281,7 @@ def optimal_crusade(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> 
         cur = choice[1]
         bags.append(cur)
     crusade = Crusade.from_bags(g, [NodeSet(b, g.n) for b in bags])
-    assert crusade.width == best[0]
+    assert crusade.width == int(width.flat[first])
     if tables.gamma is not None:
         assert crusade.width == int(tables.gamma[mask])
     return crusade

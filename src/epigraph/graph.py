@@ -8,6 +8,7 @@ every function that takes a bag accepts both.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -160,6 +161,40 @@ class NodeSet:
 
     def __repr__(self) -> str:
         return f"NodeSet({sorted(self)}, n={self.n})"
+
+
+class NodeSetSequence(collections.abc.Sequence):
+    """A read-only sequence of NodeSets backed by an array of bitmasks.
+
+    Members are built on access, so counting a family of up to 2^n bags
+    costs no Python object per bag. Compares equal to any sequence with
+    equal members in the same order, lists included.
+    """
+
+    __slots__ = ("masks", "n")
+
+    def __init__(self, masks: np.ndarray, n: int):
+        self.masks = masks
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return NodeSetSequence(self.masks[i], self.n)
+        return NodeSet(int(self.masks[i]), self.n)
+
+    def __iter__(self) -> Iterator[NodeSet]:
+        return (NodeSet(m, self.n) for m in self.masks.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, collections.abc.Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"NodeSetSequence({len(self)} sets, n={self.n})"
 
 
 class Graph:

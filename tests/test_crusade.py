@@ -19,7 +19,7 @@ from epigraph import (
     resilience,
     resilience_table,
 )
-from epigraph.graph import Graph
+from epigraph.graph import Graph, NodeSet
 from epigraph.verify import enumerate_connected_graphs
 
 
@@ -208,6 +208,28 @@ class TestOptimalCrusade:
         with pytest.raises(ValueError):
             optimal_crusade(generate("path", 3), 0)
 
+    def test_first_step_tie_break_exhaustive_small(self):
+        # brute force over all B != A with |A \ B| <= 1, keyed
+        # (width, removed id or n for no removal, bag mask)
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                t = resilience_table(g)
+                for a in range(1, 1 << n):
+                    best = min(
+                        (max(cut(g, b), int(t.g[b])), (a & ~b).bit_length() - 1 if a & ~b else n, b)
+                        for b in range(1 << n)
+                        if b != a and (a & ~b).bit_count() <= 1
+                    )
+                    assert int(optimal_crusade(g, a, t).bags[1]) == best[2]
+
+    def test_single_vertex_graph(self):
+        g = Graph(1, [])
+        t = resilience_table(g)
+        assert cutwidth(g) == 0 and t.W == 0
+        assert t.gamma.tolist() == [0, 0]
+        assert [sorted(b) for b in optimal_crusade(g, [0], t).bags] == [[0], []]
+        assert improvement_bags(g, t) == []
+
 
 class TestImprovementBags:
     def test_complete_membership_frozen(self):
@@ -224,6 +246,23 @@ class TestImprovementBags:
             bags = {int(b) for b in improvement_bags(g, resilience_table(g))}
             assert 0 not in bags
             assert all((1 << v) not in bags for v in range(n))
+
+    def test_sequence_matches_eager_list(self):
+        for g in (generate("complete", 5), generate("grid", 6), generate("erdos_renyi", 9, p=0.5, seed=3)):
+            n = g.n
+            t = resilience_table(g)
+            gamma = t.gamma
+            eager = [
+                NodeSet(m, n)
+                for m in range(1 << n)
+                if any((m >> v) & 1 and gamma[m ^ (1 << v)] < gamma[m] for v in range(n))
+            ]
+            bags = improvement_bags(g, t)
+            assert len(bags) == len(eager) > 0
+            assert bags == eager and eager == bags and list(bags) == eager
+            assert bags[0] == eager[0] and bags[-1] == eager[-1]
+            assert bags[1:4] == eager[1:4]
+            assert bags != eager[:-1]
 
     def test_cut_floor_on_members(self):
         for kind, n in (("complete", 4), ("grid", 6), ("star", 6)):
