@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -264,3 +265,167 @@ class TestBandInstrumentation:
         validate_trace(tr)
         assert rep.tau_star is not None
         assert rep.tau_star <= tr.tau
+
+
+# ---------------------------------------------------------------------------
+# Frozen seeded outputs: a change to the engine must reproduce these bytes
+# ---------------------------------------------------------------------------
+
+FROZEN_R = 2.0
+FROZEN_SEED = 2024
+FROZEN_CAPS = {"max_time": 100.0, "max_events": 3000}
+FROZEN_POLICIES = (
+    "none", "random_infected", "max_degree_infected", "degree_proportional",
+    "max_cut_drop", "resilience_greedy", "healthy_waste",
+)
+
+
+def frozen_graphs():
+    return {
+        g.label: g
+        for g in (
+            generate("path", 6), generate("cycle", 8), generate("star", 6), generate("grid", 9),
+            generate("erdos_renyi", 8, p=0.4, seed=1), generate("complete", 5),
+        )
+    }
+
+
+def frozen_policy(name, g):
+    if name == "healthy_waste":
+        return HealthyWastePolicy()
+    return builtin_policy(name, seed=5, table=resilience_table(g) if name == "resilience_greedy" else None)
+
+
+def frozen_traces():
+    """(key, trace) for every graph x policy x start, from full infection and from vertex 0."""
+    for g in frozen_graphs().values():
+        for name in FROZEN_POLICIES:
+            for start, i0 in (("full", g.full_mask), ("one", 0b1)):
+                tr = simulate(g, i0, frozen_policy(name, g), FROZEN_R, FROZEN_SEED, **FROZEN_CAPS)
+                yield f"{g.label}|{name}|{start}", tr
+
+
+def trace_pin(tr):
+    return hashlib.sha256(tr.serialize().encode()).hexdigest()[:16], tr.tau, tr.n_events
+
+
+# (graph, policy, replications) -> csv_row() of estimate_extinction at FROZEN_SEED
+FROZEN_ESTIMATE_CELLS = (
+    ("path:6", "healthy_waste", 12),
+    ("cycle:8", "max_cut_drop", 24),
+    ("star:6", "degree_proportional", 24),
+    ("grid:3x3", "resilience_greedy", 24),
+    ("erdos_renyi:8:p0.4", "max_degree_infected", 24),
+    ("complete:5", "random_infected", 24),
+)
+
+FROZEN_TRACES = {
+    "path:6|none|full": ("d8ead7c753af782d", None, 0),
+    "path:6|none|one": ("1877d639f8c3b045", None, 5),
+    "path:6|random_infected|full": ("8ed973b0585a2614", 3.645267720242299, 14),
+    "path:6|random_infected|one": ("c1bc03d1a92665f2", 0.10518357934495569, 1),
+    "path:6|max_degree_infected|full": ("fe5050b18864846c", 2.5567253937438315, 12),
+    "path:6|max_degree_infected|one": ("c1bc03d1a92665f2", 0.10518357934495569, 1),
+    "path:6|degree_proportional|full": ("457187c62948f0f4", 3.784964152791534, 14),
+    "path:6|degree_proportional|one": ("c1bc03d1a92665f2", 0.10518357934495569, 1),
+    "path:6|max_cut_drop|full": ("109897b443b64c38", 2.4670229020413865, 8),
+    "path:6|max_cut_drop|one": ("c1bc03d1a92665f2", 0.10518357934495569, 1),
+    "path:6|resilience_greedy|full": ("109897b443b64c38", 2.4670229020413865, 8),
+    "path:6|resilience_greedy|one": ("c1bc03d1a92665f2", 0.10518357934495569, 1),
+    "path:6|healthy_waste|full": ("3b20c1e99ddde9d6", 7.108957337162277, 14),
+    "path:6|healthy_waste|one": ("5db81413e8408dd6", 0.15777536901743353, 1),
+    "cycle:8|none|full": ("d8ead7c753af782d", None, 0),
+    "cycle:8|none|one": ("ea7e2515327e0698", None, 7),
+    "cycle:8|random_infected|full": ("ea5cba9f538af214", 60.84626308995949, 240),
+    "cycle:8|random_infected|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "cycle:8|max_degree_infected|full": ("e57d8e299967c8f7", 61.022243259071125, 240),
+    "cycle:8|max_degree_infected|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "cycle:8|degree_proportional|full": ("8a464464aedc709a", 81.49847232760824, 338),
+    "cycle:8|degree_proportional|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "cycle:8|max_cut_drop|full": ("5d1713f67da6a8d1", 61.345126405292355, 240),
+    "cycle:8|max_cut_drop|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "cycle:8|resilience_greedy|full": ("e57d8e299967c8f7", 61.022243259071125, 240),
+    "cycle:8|resilience_greedy|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "cycle:8|healthy_waste|full": ("93a20730b94375f3", None, 214),
+    "cycle:8|healthy_waste|one": ("ce8a2cc14cb9d7f8", None, 211),
+    "star:6|none|full": ("d8ead7c753af782d", None, 0),
+    "star:6|none|one": ("f4dd7a174c431be4", None, 5),
+    "star:6|random_infected|full": ("da13fbbf31c3d58a", 13.68594054889714, 58),
+    "star:6|random_infected|one": ("16977b5fcbeae771", 0.3990083765369646, 3),
+    "star:6|max_degree_infected|full": ("7fd2f0a8e291fc1d", 16.614028083810112, 74),
+    "star:6|max_degree_infected|one": ("16977b5fcbeae771", 0.3990083765369646, 3),
+    "star:6|degree_proportional|full": ("fb155dd0698e0fd7", 16.995398070951182, 74),
+    "star:6|degree_proportional|one": ("16977b5fcbeae771", 0.3990083765369646, 3),
+    "star:6|max_cut_drop|full": ("bedb7d381636ba34", 13.837449412702632, 58),
+    "star:6|max_cut_drop|one": ("16977b5fcbeae771", 0.3990083765369646, 3),
+    "star:6|resilience_greedy|full": ("7fd2f0a8e291fc1d", 16.614028083810112, 74),
+    "star:6|resilience_greedy|one": ("16977b5fcbeae771", 0.3990083765369646, 3),
+    "star:6|healthy_waste|full": ("7d4735a10bd3dc59", None, 209),
+    "star:6|healthy_waste|one": ("33b0e26febc611d8", None, 215),
+    "grid:3x3|none|full": ("d8ead7c753af782d", None, 0),
+    "grid:3x3|none|one": ("0a13db9b8a4905fd", None, 8),
+    "grid:3x3|random_infected|full": ("717b0f3da7ecec20", None, 412),
+    "grid:3x3|random_infected|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "grid:3x3|max_degree_infected|full": ("1e4effae801c988b", None, 413),
+    "grid:3x3|max_degree_infected|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "grid:3x3|degree_proportional|full": ("1025d1d2ce2a5ef9", None, 407),
+    "grid:3x3|degree_proportional|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "grid:3x3|max_cut_drop|full": ("8759956ef7a12200", 58.188770403968725, 249),
+    "grid:3x3|max_cut_drop|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "grid:3x3|resilience_greedy|full": ("32cd67d1929130b1", 58.06919794449599, 249),
+    "grid:3x3|resilience_greedy|one": ("3054bda53238a655", 0.07888768450871676, 1),
+    "grid:3x3|healthy_waste|full": ("b698d05d7cfc49cd", None, 215),
+    "grid:3x3|healthy_waste|one": ("4ba72f087a03abff", None, 216),
+    "erdos_renyi:8:p0.4|none|full": ("d8ead7c753af782d", None, 0),
+    "erdos_renyi:8:p0.4|none|one": ("e089ffef15a80d53", None, 7),
+    "erdos_renyi:8:p0.4|random_infected|full": ("30fac893fca07df4", None, 400),
+    "erdos_renyi:8:p0.4|random_infected|one": ("184358b84f8ed5fb", 0.06311014760697341, 1),
+    "erdos_renyi:8:p0.4|max_degree_infected|full": ("e273cf1fd995ef38", None, 422),
+    "erdos_renyi:8:p0.4|max_degree_infected|one": ("184358b84f8ed5fb", 0.06311014760697341, 1),
+    "erdos_renyi:8:p0.4|degree_proportional|full": ("002c6de66bd80099", None, 404),
+    "erdos_renyi:8:p0.4|degree_proportional|one": ("184358b84f8ed5fb", 0.06311014760697341, 1),
+    "erdos_renyi:8:p0.4|max_cut_drop|full": ("7c7797a405f9c611", None, 392),
+    "erdos_renyi:8:p0.4|max_cut_drop|one": ("184358b84f8ed5fb", 0.06311014760697341, 1),
+    "erdos_renyi:8:p0.4|resilience_greedy|full": ("617beefbd09a7478", None, 413),
+    "erdos_renyi:8:p0.4|resilience_greedy|one": ("184358b84f8ed5fb", 0.06311014760697341, 1),
+    "erdos_renyi:8:p0.4|healthy_waste|full": ("16dd37ba38fa1c3e", None, 210),
+    "erdos_renyi:8:p0.4|healthy_waste|one": ("9bbb4cfb4d247bed", None, 215),
+    "complete:5|none|full": ("d8ead7c753af782d", None, 0),
+    "complete:5|none|one": ("6055b15e094e2882", None, 4),
+    "complete:5|random_infected|full": ("38e830d2207cab75", 18.39183861003538, 75),
+    "complete:5|random_infected|one": ("e69b537aaa3f8125", 18.285009876688058, 75),
+    "complete:5|max_degree_infected|full": ("5a30a44d6806b2f0", 18.39183861003538, 75),
+    "complete:5|max_degree_infected|one": ("295fb2e2c0754ae6", 18.285009876688058, 75),
+    "complete:5|degree_proportional|full": ("d819f00843d6874d", 18.39183861003538, 75),
+    "complete:5|degree_proportional|one": ("10cf11b6155dd383", 18.285009876688058, 75),
+    "complete:5|max_cut_drop|full": ("5a30a44d6806b2f0", 18.39183861003538, 75),
+    "complete:5|max_cut_drop|one": ("295fb2e2c0754ae6", 18.285009876688058, 75),
+    "complete:5|resilience_greedy|full": ("5a30a44d6806b2f0", 18.39183861003538, 75),
+    "complete:5|resilience_greedy|one": ("295fb2e2c0754ae6", 18.285009876688058, 75),
+    "complete:5|healthy_waste|full": ("336462050a85a3ac", None, 212),
+    "complete:5|healthy_waste|one": ("23853fad42b3c6c7", None, 214),
+}
+FROZEN_ESTIMATES = {
+    ("path:6", "healthy_waste"): "path:6,healthy_waste,2.0,12,21.566041224053453,4.394741043136168,0",
+    ("cycle:8", "max_cut_drop"): "cycle:8,max_cut_drop,2.0,24,17.624467391704197,3.1688734826821108,0",
+    ("star:6", "degree_proportional"): "star:6,degree_proportional,2.0,24,11.205703308540592,1.584402602345984,0",
+    ("grid:3x3", "resilience_greedy"): "grid:3x3,resilience_greedy,2.0,24,46.439243969079214,4.851235498263164,5",
+    ("erdos_renyi:8:p0.4", "max_degree_infected"): "erdos_renyi:8:p0.4,max_degree_infected,2.0,24,74.21746729629167,5.031282447891049,21",
+    ("complete:5", "random_infected"): "complete:5,random_infected,2.0,24,31.85273533150648,4.112513165519085,3",
+}
+
+
+def test_seeded_outputs_frozen():
+    got = {}
+    for key, tr in frozen_traces():
+        validate_trace(tr)
+        got[key] = trace_pin(tr)
+    assert got == FROZEN_TRACES
+    graphs = frozen_graphs()
+    for label, name, reps in FROZEN_ESTIMATE_CELLS:
+        g = graphs[label]
+        for workers in (None, 2):
+            est = estimate_extinction(
+                g, g.full_mask, frozen_policy(name, g), FROZEN_R, reps, FROZEN_SEED, workers=workers, **FROZEN_CAPS
+            )
+            assert est.csv_row() == FROZEN_ESTIMATES[(label, name)], (label, name, workers)
