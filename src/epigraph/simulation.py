@@ -6,10 +6,12 @@ it, subject to the instantaneous budget sum <= r. Between events all rates
 are constant, so exact Gillespie sampling applies: draw an exponential
 holding time at the total rate, then pick the event proportionally.
 
-Policies are re-queried after every event. One-node built-ins expose a fast
-``pick`` path the engine uses to skip per-event dict building; the general
-``decide`` contract (arbitrary allocations, full history access) is always
-available and is budget-checked at every event.
+Each event reads the *row* of the current infected set (see ``_Rows``):
+its cut, the infection weights found by bisection, and the cure items. Rows
+are pure functions of the set, built on first visit and kept for one
+(policy, graph, r, context) in a dict cleared at ``ROW_CAP`` rows. A
+``markov`` policy's allocation is cached in the row, so it is asked for and
+budget-checked once per infected set; other policies are asked per event.
 
 Reproducibility: the event stream is driven by a counter-based Philox
 generator keyed by SeedSequence; replication i of a run with master seed s
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +37,7 @@ from .graph import Graph, NodeSet, _mask_from, cut, cut_after_toggle
 
 DEFAULT_MAX_TIME = 1e6
 DEFAULT_MAX_EVENTS = 10**8
+ROW_CAP = 1 << 15  # rows kept per (policy, graph, r, context); see _Rows
 
 TRACE_CSV_HEADER = "time,kind,vertex"
 ESTIMATE_CSV_HEADER = "graph,policy,r,reps,mean_tau,se,censored"
@@ -68,17 +72,29 @@ def _mix(a: int, b: int, c: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CuringPolicy:
-    """Allocates curing rates to vertices, re-queried after every event.
+    """Allocates curing rates to vertices.
 
-    Subclasses implement :meth:`decide`; one-node policies may also set
-    ``one_node = True`` and implement :meth:`pick` (return the single vertex
-    to cure at full budget, or None) so the engine can skip dict building.
-    ``decide`` must be deterministic given (t, infected, history) and the
-    policy's own seed.
+    Subclasses implement :meth:`decide`: {vertex: rate}, rates >= 0 summing
+    to at most the budget (rates on healthy vertices cure nothing). The
+    engine checks each allocation (vertex, sign, budget) and raises
+    :class:`PolicyFault` on a break. ``decide`` must be deterministic given
+    its arguments and the policy's own seed.
+
+    ``markov = True`` promises the allocation depends on the infected set
+    alone (given :meth:`prepare`'s graph, budget and context): ``decide`` is
+    then called once per distinct infected set, with ``t`` and ``history``
+    None, and its checked allocation reused, so the budget check runs once
+    per distinct allocation. Otherwise (the default) it is called at every
+    event with the time and a ``history`` whose ``len()`` counts the events
+    so far. A non-Markov policy that puts the full budget on one infected
+    vertex may define ``pick(mask, n_events, infected)`` instead (infected
+    ascending), as ``random_infected`` does, to skip the per-event dict.
     """
 
     name = "abstract"
-    one_node = False
+    markov = False
+    pick = None
+    _rows = None  # the engine's row cache for the last (graph, r, context) run
 
     def prepare(self, graph: Graph, budget: float, context: Optional[ResilienceTable] = None) -> None:
         self.graph = graph
@@ -88,27 +104,29 @@ class CuringPolicy:
     def decide(self, t, infected: NodeSet, graph: Graph, context=None, history=None) -> dict[int, float]:
         raise NotImplementedError
 
-    def pick(self, t: float, mask: int, n_events: int) -> Optional[int]:
-        raise NotImplementedError
-
 
 class _OneNodePolicy(CuringPolicy):
-    one_node = True
+    """Full budget on the infected vertex that :meth:`choose` names."""
+
+    markov = True
 
     def decide(self, t, infected, graph, context=None, history=None):
         if not hasattr(self, "budget"):
             raise PolicyFault(f"policy {self.name} used before prepare()")
-        v = self.pick(t, int(infected), len(history) if history is not None else 0)
-        return {} if v is None else {v: self.budget}
+        return {self.choose(infected): self.budget} if infected else {}
+
+    def choose(self, infected: NodeSet) -> int:
+        raise NotImplementedError
 
 
-class NonePolicy(_OneNodePolicy):
+class NonePolicy(CuringPolicy):
     """Allocates nothing; the epidemic runs uncontrolled."""
 
     name = "none"
+    markov = True
 
-    def pick(self, t, mask, n_events):
-        return None
+    def decide(self, t, infected, graph, context=None, history=None):
+        return {}
 
 
 class MaxDegreeInfected(_OneNodePolicy):
@@ -116,24 +134,16 @@ class MaxDegreeInfected(_OneNodePolicy):
 
     name = "max_degree_infected"
 
-    def prepare(self, graph, budget, context=None):
-        super().prepare(graph, budget, context)
-        self._order = sorted(range(graph.n), key=lambda v: (-graph.deg[v], v))
-
-    def pick(self, t, mask, n_events):
-        if mask == 0:
-            return None
-        for v in self._order:
-            if (mask >> v) & 1:
-                return v
-        return None
+    def choose(self, infected):
+        return min(infected, key=lambda v: (-self.graph.deg[v], v))
 
 
-class RandomInfected(_OneNodePolicy):
+class RandomInfected(CuringPolicy):
     """Full budget on an infected vertex chosen by seeded hashing.
 
     The choice is a pure function of (seed, event index, infected set), so a
-    trace is reproducible and replications with distinct seeds decouple.
+    trace is reproducible and replications with distinct seeds decouple. It
+    is not Markov: the event index changes the choice.
     """
 
     name = "random_infected"
@@ -141,31 +151,26 @@ class RandomInfected(_OneNodePolicy):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def pick(self, t, mask, n_events):
-        k = mask.bit_count()
-        if k == 0:
-            return None
-        idx = _mix(self.seed, n_events, mask) % k
-        m = mask
-        for _ in range(idx):
-            m ^= m & -m
-        return (m & -m).bit_length() - 1
+    def pick(self, mask, n_events, infected):
+        return infected[_mix(self.seed, n_events, mask) % len(infected)]
+
+    def decide(self, t, infected, graph, context=None, history=None):
+        n_events = len(history) if history is not None else 0
+        return {self.pick(int(infected), n_events, tuple(infected)): self.budget} if infected else {}
 
 
 class DegreeProportional(CuringPolicy):
     """Budget split over infected vertices proportionally to their degrees."""
 
     name = "degree_proportional"
+    markov = True
 
     def decide(self, t, infected, graph, context=None, history=None):
-        mask = int(infected)
-        if mask == 0:
-            return {}
-        budget = getattr(self, "budget", 0.0)
-        vs = [v for v in range(graph.n) if (mask >> v) & 1]
+        vs = list(infected)
         total = sum(graph.deg[v] for v in vs)
         if total == 0:
             return {}
+        budget = getattr(self, "budget", 0.0)
         return {v: budget * graph.deg[v] / total for v in vs}
 
 
@@ -174,20 +179,9 @@ class MaxCutDrop(_OneNodePolicy):
 
     name = "max_cut_drop"
 
-    def pick(self, t, mask, n_events):
-        if mask == 0:
-            return None
-        g = self.graph
-        best = None
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            after = cut_after_toggle(g, mask, 0, v)  # offset-free: compare deltas only
-            if best is None or after < best[0]:
-                best = (after, v)
-            m ^= low
-        return best[1]
+    def choose(self, infected):
+        mask = int(infected)
+        return min(infected, key=lambda v: cut_after_toggle(self.graph, mask, 0, v))  # deltas only
 
 
 class ResilienceGreedy(_OneNodePolicy):
@@ -211,20 +205,9 @@ class ResilienceGreedy(_OneNodePolicy):
             raise PolicyFault("resilience table was built for a different graph")
         self._gamma = table.gamma
 
-    def pick(self, t, mask, n_events):
-        if mask == 0:
-            return None
-        gamma = self._gamma
-        best = None
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            val = int(gamma[mask ^ low])
-            if best is None or val < best[0]:
-                best = (val, v)
-            m ^= low
-        return best[1]
+    def choose(self, infected):
+        mask = int(infected)
+        return min(infected, key=lambda v: int(self._gamma[mask ^ (1 << v)]))
 
 
 BUILTIN_POLICIES = {
@@ -277,20 +260,71 @@ class EpidemicTrace:
 
 
 class HistoryView:
-    """Read-only window onto the running event log, handed to policies."""
+    """Read-only window onto the running event log, handed to ``decide``."""
 
-    __slots__ = ("_events", "_count")
+    __slots__ = ("_events", "_n")
 
-    def __init__(self, events: list, count_ref):
-        self._events = events
-        self._count = count_ref
+    def __init__(self, events: list):
+        self._events, self._n = events, 0  # the engine sets _n before each decide
 
     def __len__(self) -> int:
-        return self._count[0]
+        return self._n
 
     @property
     def events(self) -> tuple:
         return tuple(self._events)
+
+
+class _Rows(dict):
+    """Rows of one policy's runs on (graph, r, context), keyed by infected mask.
+
+    A row is (cut, cum, verts, infected, items, cure): the cut as a float;
+    the cumulative infection weights (floats) of the healthy vertices with an
+    infected neighbor, and those vertices, ascending; the infected vertices,
+    ascending; for a Markov policy the checked cure items (ascending vertex)
+    and their sum, else None and 0.0. Rows depend on the mask alone, so
+    clearing the dict at ``ROW_CAP`` rows changes no output.
+    """
+
+    def __init__(self, g: Graph, r: float, context):
+        super().__init__()
+        self.g, self.r, self.context = g, r, context
+        self.budget = float(r)
+
+    def checked(self, alloc: dict, mask: int) -> tuple:
+        """(items, sum) of an allocation, after the vertex, sign and budget checks."""
+        total_alloc = 0.0
+        for v, rate in alloc.items():
+            if not 0 <= v < self.g.n:
+                raise PolicyFault(f"allocation on nonexistent vertex {v}")
+            if rate < 0:
+                raise PolicyFault(f"negative curing rate {rate} on vertex {v}")
+            total_alloc += rate
+        budget = self.budget
+        if total_alloc > budget + 1e-9 * max(1.0, budget):
+            raise PolicyFault(f"allocation sum {total_alloc} exceeds budget {budget}")
+        # rates on healthy vertices are legal but produce no event
+        items = tuple(sorted((v, rate) for v, rate in alloc.items() if rate > 0.0 and (mask >> v) & 1))
+        return items, sum(rate for _, rate in items)
+
+    def build(self, mask: int, policy: CuringPolicy) -> tuple:
+        g = self.g
+        infected = NodeSet(mask, g.n)
+        cum, verts = [], []
+        acc = 0
+        for v in range(g.n):
+            c = (g.adj[v] & mask).bit_count()
+            if c and not (mask >> v) & 1:
+                acc += c
+                cum.append(float(acc))
+                verts.append(v)
+        items, cure = None, 0.0
+        if policy.markov:
+            items, cure = self.checked(policy.decide(None, infected, g, self.context, None), mask)
+        if len(self) >= ROW_CAP:
+            self.clear()
+        row = self[mask] = (float(acc), tuple(cum), tuple(verts), tuple(infected), items, cure)
+        return row
 
 
 def simulate(
@@ -324,74 +358,49 @@ def simulate(
         )
 
     rng = Generator(Philox(SeedSequence(seed_parts)))
-    deg = g.deg
-    nbrs = [tuple(NodeSet(a, n)) for a in g.adj]
-    cnt = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        for w in nbrs[low.bit_length() - 1]:
-            cnt[w] += 1
-        m ^= low
-    cur_cut = float(cut(g, mask))
-
+    rows = policy._rows
+    if rows is None or not (rows.g is g and rows.context is context and rows.r == r):
+        rows = policy._rows = _Rows(g, r, context)
+    get = rows.get
     events: list[tuple[float, int, str]] = []
-    count_ref = [0]
-    history = HistoryView(events, count_ref)
-    one_node = policy.one_node
-    budget = float(r)
-    budget_tol = budget + 1e-9 * max(1.0, budget)
-    pick = policy.pick
+    history = HistoryView(events)
+    budget = rows.budget
+    pick = None if policy.markov else policy.pick
+    decide = None if policy.markov or pick is not None else policy.decide
     log1p = math.log1p
-    full = (1 << n) - 1
-    # uniform buffer grows geometrically: short runs stay cheap, long runs amortize
-    blen = 256
+    # uniforms come in growing chunks (short runs stay cheap, long runs amortize);
+    # Philox yields them in sequence, so the chunk sizes never change a value
+    blen = 64
     buf = rng.random(blen).tolist()
     bi = 0
 
     t = 0.0
-    tau = None
-    censored = False
-    reason = None
+    tau, censored, reason = None, False, None
     nev = 0
     while True:
-        # --- allocation for the current state
-        if one_node:
-            target = pick(t, mask, nev)
-            cure_total = 0.0 if target is None else budget
-            alloc_items = None
-        else:
-            alloc = policy.decide(t, NodeSet(mask, n), g, context, history)
-            total_alloc = 0.0
-            for v, rate in alloc.items():
-                if not 0 <= v < n:
-                    raise PolicyFault(f"allocation on nonexistent vertex {v}")
-                if rate < 0:
-                    raise PolicyFault(f"negative curing rate {rate} on vertex {v}")
-                total_alloc += rate
-            if total_alloc > budget_tol:
-                raise PolicyFault(f"allocation sum {total_alloc} exceeds budget {budget}")
-            # rates on healthy vertices are legal but produce no event
-            alloc_items = sorted((v, rate) for v, rate in alloc.items() if rate > 0.0 and (mask >> v) & 1)
-            cure_total = sum(rate for _, rate in alloc_items)
-
-        total = cur_cut + cure_total
+        row = get(mask)
+        if row is None:
+            row = rows.build(mask, policy)
+        c, cum, verts, infected, items, cure = row
+        if pick is not None:
+            items, cure = ((pick(mask, nev, infected), budget),), budget
+        elif decide is not None:
+            history._n = nev
+            items, cure = rows.checked(decide(t, NodeSet(mask, n), g, context, history), mask)
+        total = c + cure
         if total <= 0.0:
             censored, reason = True, "max_time"
             t = max_time
             break
 
         if bi >= blen:
-            if blen < 16384:
-                blen *= 8
-            buf = rng.random(blen).tolist()
-            bi = 0
+            blen = min(4 * blen, 16384)
+            buf, bi = rng.random(blen).tolist(), 0
         u = buf[bi]
         bi += 1
         while u == 0.0:  # keep holding times strictly positive
             if bi >= blen:
-                buf = rng.random(blen).tolist()
-                bi = 0
+                buf, bi = rng.random(blen).tolist(), 0
             u = buf[bi]
             bi += 1
         t_next = t - log1p(-u) / total
@@ -402,56 +411,28 @@ def simulate(
         t = t_next
 
         if bi >= blen:
-            if blen < 16384:
-                blen *= 8
-            buf = rng.random(blen).tolist()
-            bi = 0
+            blen = min(4 * blen, 16384)
+            buf, bi = rng.random(blen).tolist(), 0
         x = buf[bi] * total
         bi += 1
 
         # --- event selection: healthy vertices ascending, then cures ascending
-        if x < cur_cut:
-            chosen = -1
-            acc = 0.0
-            h = full ^ mask
-            while h:
-                low = h & -h
-                v = low.bit_length() - 1
-                c = cnt[v]
-                if c:
-                    acc += c
-                    chosen = v
-                    if x < acc:
-                        break
-                h ^= low
+        if x < c:
+            chosen = verts[bisect_right(cum, x)]
             mask |= 1 << chosen
-            cur_cut += deg[chosen] - 2 * cnt[chosen]
-            for w in nbrs[chosen]:
-                cnt[w] += 1
             kind = "infect"
         else:
-            if alloc_items is None:
-                chosen = target
-            else:
-                x -= cur_cut
-                chosen = alloc_items[-1][0]
-                for v, rate in alloc_items:
-                    x -= rate
-                    if x < 0.0:
-                        chosen = v
-                        break
+            x -= c
+            for chosen, rate in items:  # the last item if rounding leaves x >= 0
+                x -= rate
+                if x < 0.0:
+                    break
             mask ^= 1 << chosen
-            cur_cut += 2 * cnt[chosen] - deg[chosen]
-            for w in nbrs[chosen]:
-                cnt[w] -= 1
             kind = "cure"
 
         nev += 1
         if record_events:
-            count_ref[0] = nev
             events.append((t, chosen, kind))
-        elif not one_node:
-            count_ref[0] = nev
         if mask == 0:
             tau = t
             break
@@ -510,6 +491,8 @@ class SimEstimate:
     usable: bool
     runtime_s: float = 0.0
     taus: tuple[float, ...] = field(default_factory=tuple, repr=False)
+    n_events: int = 0  # summed over all replications, censored ones included
+    censor_reasons: dict[str, int] = field(default_factory=dict)  # "max_time"/"max_events" -> count
 
     def csv_row(self) -> str:
         mean = "" if self.mean_tau is None else repr(self.mean_tau)
@@ -517,13 +500,25 @@ class SimEstimate:
         return f"{self.graph_label},{self.policy},{self.r!r},{self.replications},{mean},{se},{self.censored}"
 
 
-def _estimate_worker(args):
-    g, i0_mask, policy, r, master_seed, idx, max_time, max_events, context = args
-    tr = simulate(
-        g, i0_mask, policy, r, (master_seed, idx),
-        max_time=max_time, max_events=max_events, record_events=False, context=context,
-    )
-    return idx, tr.tau, tr.censored
+_worker_job: Optional[tuple] = None  # a pool worker's replication inputs, set once by _init_worker
+
+
+def _init_worker(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _replicate(indices, job: Optional[tuple] = None) -> list:
+    """(tau, censor_reason, n_events) of each replication index, in order."""
+    g, i0_mask, policy, r, seed, context, max_time, max_events = job or _worker_job
+    out = []
+    for i in indices:
+        tr = simulate(
+            g, i0_mask, policy, r, (seed, i),
+            max_time=max_time, max_events=max_events, record_events=False, context=context,
+        )
+        out.append((tr.tau, tr.censor_reason, tr.n_events))
+    return out
 
 
 def estimate_extinction(
@@ -541,35 +536,33 @@ def estimate_extinction(
 ) -> SimEstimate:
     """Mean extinction time over independent replications.
 
-    Replication i runs with seed (seed, i); results are aggregated by
-    replication index, so worker scheduling cannot change the estimate.
-    Censored runs are excluded from the mean but always reported.
+    Replication i runs with seed (seed, i). A pool gets the inputs once per
+    worker and runs contiguous blocks of replication indices, so a worker
+    keeps its rows across its blocks; results are aggregated by replication
+    index, so worker scheduling cannot change the estimate. Censored runs
+    are excluded from the mean but always reported, with their reasons.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     t0 = _time.perf_counter()
-    i0_mask = _mask_from(i0, g.n)
-    jobs = [
-        (g, i0_mask, policy, r, int(seed), i, max_time, max_events, context)
-        for i in range(replications)
-    ]
-    taus: list[Optional[float]] = [None] * replications
+    job = (g, _mask_from(i0, g.n), policy, r, int(seed), context, max_time, max_events)
     if workers and workers > 1 and replications > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, tau, was_censored in pool.map(_estimate_worker, jobs, chunksize=max(1, replications // (8 * workers))):
-                taus[idx] = None if was_censored else tau
+        size = max(1, replications // (8 * workers))
+        blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
+            results = [res for block in pool.map(_replicate, blocks) for res in block]
     else:
-        for job in jobs:
-            idx, tau, was_censored = _estimate_worker(job)
-            taus[idx] = None if was_censored else tau
-    good = [x for x in taus if x is not None]
-    censored = replications - len(good)
+        results = _replicate(range(replications), job)
+    good = [tau for tau, reason, _ in results if reason is None]
+    reasons = [reason for _, reason, _ in results]
     mean = float(np.mean(good)) if good else None
     se = float(np.std(good, ddof=1) / math.sqrt(len(good))) if len(good) >= 2 else None
     return SimEstimate(
         graph_label=g.label, policy=policy.name, r=float(r), replications=replications,
-        mean_tau=mean, se=se, censored=censored, usable=bool(good),
+        mean_tau=mean, se=se, censored=replications - len(good), usable=bool(good),
         runtime_s=_time.perf_counter() - t0, taus=tuple(good),
+        n_events=sum(nev for _, _, nev in results),
+        censor_reasons={k: reasons.count(k) for k in ("max_time", "max_events")},
     )
 
 

@@ -17,6 +17,7 @@ from epigraph import (
     simulate,
     validate_trace,
 )
+from epigraph import simulation
 
 K2 = generate("complete", 2)
 K3 = generate("complete", 3)
@@ -210,6 +211,29 @@ class TestEstimate:
         assert est.censored == 4
         assert not est.usable
         assert est.mean_tau is None
+
+    def test_censor_reasons_and_event_totals(self):
+        # no budget on a full K3 has zero total rate: censored at max_time with no event;
+        # from one vertex of a cycle, every run reaches the event cap
+        g = generate("cycle", 6)
+        cases = (
+            (K3, K3.full_mask, {}, 0, {"max_time": 5, "max_events": 0}),
+            (g, 0b1, {"max_events": 4, "max_time": 1e9}, 20, {"max_time": 0, "max_events": 5}),
+        )
+        for graph, i0, caps, n_events, reasons in cases:
+            for workers in (None, 2):
+                est = estimate_extinction(graph, i0, builtin_policy("none"), 0.0, 5, 5, workers=workers, **caps)
+                assert (est.censored, est.usable, est.mean_tau) == (5, False, None)
+                assert est.n_events == n_events
+                assert est.censor_reasons == reasons
+                assert est.csv_row() == f"{graph.label},none,0.0,5,,,5"
+
+    def test_event_totals_include_extinct_runs(self):
+        est = estimate_extinction(K3, K3.full_mask, one_node(), 1.0, 30, 8)
+        pooled = estimate_extinction(K3, K3.full_mask, one_node(), 1.0, 30, 8, workers=2)
+        runs = [simulate(K3, K3.full_mask, one_node(), 1.0, (8, i), record_events=False) for i in range(30)]
+        assert est.n_events == pooled.n_events == sum(tr.n_events for tr in runs)
+        assert est.censor_reasons == pooled.censor_reasons == {"max_time": 0, "max_events": 0}
 
     def test_replications_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -429,3 +453,43 @@ def test_seeded_outputs_frozen():
                 g, g.full_mask, frozen_policy(name, g), FROZEN_R, reps, FROZEN_SEED, workers=workers, **FROZEN_CAPS
             )
             assert est.csv_row() == FROZEN_ESTIMATES[(label, name)], (label, name, workers)
+
+
+class ClockPolicy(CuringPolicy):
+    """Not Markov: the cured vertex depends on the time and the event count."""
+
+    name = "clock"
+
+    def prepare(self, graph, budget, context=None):
+        super().prepare(graph, budget, context)
+        self.calls = []
+
+    def decide(self, t, infected, graph, context=None, history=None):
+        self.calls.append((t, len(history)))
+        vs = list(infected)
+        return {vs[(len(history) + int(t * 10)) % len(vs)]: self.budget}
+
+
+class TestRowCache:
+    def test_non_markov_decide_asked_once_per_event(self):
+        pol = ClockPolicy()
+        for seed in (1, 2, 3):
+            tr = simulate(K3, K3.full_mask, pol, 1.5, seed)
+            validate_trace(tr)
+            assert tr.tau is not None
+            assert len(pol.calls) == tr.n_events
+            assert [k for _, k in pol.calls] == list(range(tr.n_events))
+            assert [t for t, _ in pol.calls] == [0.0] + [t for t, _, _ in tr.events[:-1]]
+
+    def test_row_cap_changes_no_output(self, monkeypatch):
+        def outputs():
+            traces = [(key, tr.serialize(), tr.tau, tr.n_events) for key, tr in frozen_traces()]
+            pol = one_node()
+            est = estimate_extinction(K3, K3.full_mask, pol, 1.0, 50, 3)
+            return traces, est.csv_row(), est.n_events, len(pol._rows)
+
+        default = outputs()
+        monkeypatch.setattr(simulation, "ROW_CAP", 1)
+        capped = outputs()
+        assert capped[-1] == 1 < default[-1]
+        assert capped[:-1] == default[:-1]
