@@ -6,12 +6,16 @@ it, subject to the instantaneous budget sum <= r. Between events all rates
 are constant, so exact Gillespie sampling applies: draw an exponential
 holding time at the total rate, then pick the event proportionally.
 
-Each event reads the *row* of the current infected set (see ``_Rows``):
-its cut, the infection weights found by bisection, and the cure items. Rows
-are pure functions of the set, built on first visit and kept for one
-(policy, graph, r, context) in a dict cleared at ``ROW_CAP`` rows. A
+On graphs with n <= ``ROW_BITS`` each event reads the *row* of the current
+infected set (see ``_Rows``): its cut, the infection weights found by
+bisection, and the cure items. Rows are pure functions of the set, built on
+first visit and kept for one (policy, graph, r, context); all 2^n fit. A
 ``markov`` policy's allocation is cached in the row, so it is asked for and
 budget-checked once per infected set; other policies are asked per event.
+On larger graphs infected sets rarely repeat, so no rows are kept: the cut
+and each vertex's infected-neighbor count are updated per event, the
+infection is found by a scan in the same vertex order, and every policy is
+asked per event. Both paths give the same bytes.
 
 Reproducibility: the event stream is driven by a counter-based Philox
 generator keyed by SeedSequence; replication i of a run with master seed s
@@ -37,7 +41,7 @@ from .graph import Graph, NodeSet, _mask_from, cut, cut_after_toggle
 
 DEFAULT_MAX_TIME = 1e6
 DEFAULT_MAX_EVENTS = 10**8
-ROW_CAP = 1 << 15  # rows kept per (policy, graph, r, context); see _Rows
+ROW_BITS = 15  # graphs with n <= ROW_BITS keep a row per infected set; see _Rows
 
 TRACE_CSV_HEADER = "time,kind,vertex"
 ESTIMATE_CSV_HEADER = "graph,policy,r,reps,mean_tau,se,censored"
@@ -82,19 +86,25 @@ class CuringPolicy:
 
     ``markov = True`` promises the allocation depends on the infected set
     alone (given :meth:`prepare`'s graph, budget and context): ``decide`` is
-    then called once per distinct infected set, with ``t`` and ``history``
-    None, and its checked allocation reused, so the budget check runs once
-    per distinct allocation. Otherwise (the default) it is called at every
-    event with the time and a ``history`` whose ``len()`` counts the events
-    so far. A non-Markov policy that puts the full budget on one infected
-    vertex may define ``pick(mask, n_events, infected)`` instead (infected
-    ascending), as ``random_infected`` does, to skip the per-event dict.
+    then called with ``t`` and ``history`` None, and on graphs with at most
+    ``ROW_BITS`` vertices only once per distinct infected set, its checked
+    allocation cached with the set's row, so the budget check runs once per
+    distinct allocation. Otherwise (the default) it is called at every event
+    with the time and a ``history`` whose ``len()`` counts the events so far.
+    A subclass that overrides ``decide`` is not Markov unless its own class
+    body sets ``markov = True`` again.
     """
 
     name = "abstract"
     markov = False
-    pick = None
-    _rows = None  # the engine's row cache for the last (graph, r, context) run
+    _rows = None  # the engine's rows for the last (graph, r, context) it ran on
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "one_node" in vars(cls):
+            raise TypeError(f"{cls.__name__}: one_node and pick() are no longer read; implement decide()")
+        if "decide" in vars(cls) and "markov" not in vars(cls):
+            cls.markov = False
 
     def prepare(self, graph: Graph, budget: float, context: Optional[ResilienceTable] = None) -> None:
         self.graph = graph
@@ -113,9 +123,10 @@ class _OneNodePolicy(CuringPolicy):
     def decide(self, t, infected, graph, context=None, history=None):
         if not hasattr(self, "budget"):
             raise PolicyFault(f"policy {self.name} used before prepare()")
-        return {self.choose(infected): self.budget} if infected else {}
+        return {self.choose(int(infected)): self.budget} if infected else {}
 
-    def choose(self, infected: NodeSet) -> int:
+    def choose(self, mask: int) -> int:
+        """A vertex of the nonempty infected set ``mask``; a pure function of it."""
         raise NotImplementedError
 
 
@@ -134,8 +145,16 @@ class MaxDegreeInfected(_OneNodePolicy):
 
     name = "max_degree_infected"
 
-    def choose(self, infected):
-        return min(infected, key=lambda v: (-self.graph.deg[v], v))
+    def prepare(self, graph, budget, context=None):
+        super().prepare(graph, budget, context)
+        if getattr(self, "_order_of", None) is not graph:  # sorted once per graph, not per run
+            self._order = sorted(range(graph.n), key=lambda v: (-graph.deg[v], v))
+            self._order_of = graph
+
+    def choose(self, mask):
+        for v in self._order:
+            if (mask >> v) & 1:
+                return v
 
 
 class RandomInfected(CuringPolicy):
@@ -151,12 +170,19 @@ class RandomInfected(CuringPolicy):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def pick(self, mask, n_events, infected):
-        return infected[_mix(self.seed, n_events, mask) % len(infected)]
+    def _pick(self, mask: int, n_events: int, infected: Optional[tuple] = None) -> int:
+        """The chosen vertex; ``infected`` lists mask's vertices ascending, if at hand."""
+        i = _mix(self.seed, n_events, mask) % mask.bit_count()
+        if infected is not None:
+            return infected[i]
+        m = mask
+        for _ in range(i):
+            m ^= m & -m
+        return (m & -m).bit_length() - 1
 
     def decide(self, t, infected, graph, context=None, history=None):
         n_events = len(history) if history is not None else 0
-        return {self.pick(int(infected), n_events, tuple(infected)): self.budget} if infected else {}
+        return {self._pick(int(infected), n_events): self.budget} if infected else {}
 
 
 class DegreeProportional(CuringPolicy):
@@ -166,7 +192,8 @@ class DegreeProportional(CuringPolicy):
     markov = True
 
     def decide(self, t, infected, graph, context=None, history=None):
-        vs = list(infected)
+        mask = int(infected)
+        vs = [v for v in range(graph.n) if (mask >> v) & 1]
         total = sum(graph.deg[v] for v in vs)
         if total == 0:
             return {}
@@ -179,9 +206,18 @@ class MaxCutDrop(_OneNodePolicy):
 
     name = "max_cut_drop"
 
-    def choose(self, infected):
-        mask = int(infected)
-        return min(infected, key=lambda v: cut_after_toggle(self.graph, mask, 0, v))  # deltas only
+    def choose(self, mask):
+        g = self.graph
+        best = None
+        m = mask
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            after = cut_after_toggle(g, mask, 0, v)  # offset-free: compare deltas only
+            if best is None or after < best:
+                best, choice = after, v
+            m ^= low
+        return choice
 
 
 class ResilienceGreedy(_OneNodePolicy):
@@ -205,9 +241,17 @@ class ResilienceGreedy(_OneNodePolicy):
             raise PolicyFault("resilience table was built for a different graph")
         self._gamma = table.gamma
 
-    def choose(self, infected):
-        mask = int(infected)
-        return min(infected, key=lambda v: int(self._gamma[mask ^ (1 << v)]))
+    def choose(self, mask):
+        gamma = self._gamma
+        best = None
+        m = mask
+        while m:
+            low = m & -m
+            val = int(gamma[mask ^ low])
+            if best is None or val < best:
+                best, choice = val, low.bit_length() - 1
+            m ^= low
+        return choice
 
 
 BUILTIN_POLICIES = {
@@ -275,41 +319,69 @@ class HistoryView:
         return tuple(self._events)
 
 
-class _Rows(dict):
-    """Rows of one policy's runs on (graph, r, context), keyed by infected mask.
+def _allocator(policy: CuringPolicy, g: Graph, budget: float, context, history: HistoryView):
+    """The policy's allocation as ``alloc(mask, t, n_events, infected) -> (items, sum)``.
 
-    A row is (cut, cum, verts, infected, items, cure): the cut as a float;
-    the cumulative infection weights (floats) of the healthy vertices with an
-    infected neighbor, and those vertices, ascending; the infected vertices,
-    ascending; for a Markov policy the checked cure items (ascending vertex)
-    and their sum, else None and 0.0. Rows depend on the mask alone, so
-    clearing the dict at ``ROW_CAP`` rows changes no output.
+    Items are the (vertex, rate) pairs with a positive rate on an infected
+    vertex, ascending, after the vertex, sign and budget checks. A Markov
+    policy's ``decide`` gets ``t`` and ``history`` None. The one-vertex
+    built-ins are asked through ``_pick``/``choose``, with no dict, unless a
+    subclass overrides ``decide``.
     """
+    n = g.n
+    limit = budget + 1e-9 * max(1.0, budget)
 
-    def __init__(self, g: Graph, r: float, context):
-        super().__init__()
-        self.g, self.r, self.context = g, r, context
-        self.budget = float(r)
-
-    def checked(self, alloc: dict, mask: int) -> tuple:
-        """(items, sum) of an allocation, after the vertex, sign and budget checks."""
+    def checked(alloc: dict, mask: int) -> tuple:
         total_alloc = 0.0
         for v, rate in alloc.items():
-            if not 0 <= v < self.g.n:
+            if not 0 <= v < n:
                 raise PolicyFault(f"allocation on nonexistent vertex {v}")
             if rate < 0:
                 raise PolicyFault(f"negative curing rate {rate} on vertex {v}")
             total_alloc += rate
-        budget = self.budget
-        if total_alloc > budget + 1e-9 * max(1.0, budget):
+        if total_alloc > limit:
             raise PolicyFault(f"allocation sum {total_alloc} exceeds budget {budget}")
         # rates on healthy vertices are legal but produce no event
         items = tuple(sorted((v, rate) for v, rate in alloc.items() if rate > 0.0 and (mask >> v) & 1))
         return items, sum(rate for _, rate in items)
 
-    def build(self, mask: int, policy: CuringPolicy) -> tuple:
+    kind, decide = type(policy).decide, policy.decide
+    if kind is RandomInfected.decide or kind is _OneNodePolicy.decide:
+        pick = policy._pick if kind is RandomInfected.decide else None
+        choose = None if pick else policy.choose
+        whole = [(((v, budget),), budget) for v in range(n)]  # the allocation, per vertex
+
+        def alloc(mask, t, n_events, infected):
+            v = pick(mask, n_events, infected) if pick else choose(mask)
+            return whole[v] if v >= 0 and (mask >> v) & 1 else checked({v: budget}, mask)
+    elif policy.markov:
+        def alloc(mask, t, n_events, infected):
+            return checked(decide(None, NodeSet(mask, n), g, context, None), mask)
+    else:
+        def alloc(mask, t, n_events, infected):
+            history._n = n_events
+            return checked(decide(t, NodeSet(mask, n), g, context, history), mask)
+    return alloc
+
+
+class _Rows(dict):
+    """Rows of one policy's runs on (graph, r, context), keyed by infected mask.
+
+    A row is (cut, cum, verts, infected, items, cure): the cut as a float;
+    the cumulative infection weights (floats) of the healthy vertices with an
+    infected neighbor, and those vertices, ascending; then, for a Markov
+    policy, None and its allocation from ``alloc``, else the infected
+    vertices (ascending), None and 0.0. Rows are kept only on graphs with
+    n <= ``ROW_BITS``: all 2^n rows then fit, so the dict is never cleared
+    and a cache does at most 2^n row builds over its life.
+    """
+
+    def __init__(self, g: Graph, r: float, context):
+        super().__init__()
+        self.g, self.r, self.context = g, r, context
+
+    def build(self, mask: int, markov_alloc) -> tuple:
         g = self.g
-        infected = NodeSet(mask, g.n)
         cum, verts = [], []
         acc = 0
         for v in range(g.n):
@@ -318,12 +390,11 @@ class _Rows(dict):
                 acc += c
                 cum.append(float(acc))
                 verts.append(v)
-        items, cure = None, 0.0
-        if policy.markov:
-            items, cure = self.checked(policy.decide(None, infected, g, self.context, None), mask)
-        if len(self) >= ROW_CAP:
-            self.clear()
-        row = self[mask] = (float(acc), tuple(cum), tuple(verts), tuple(infected), items, cure)
+        if markov_alloc:
+            infected, (items, cure) = None, markov_alloc(mask, None, None, None)
+        else:
+            infected, items, cure = tuple(NodeSet(mask, g.n)), None, 0.0
+        row = self[mask] = (float(acc), tuple(cum), tuple(verts), infected, items, cure)
         return row
 
 
@@ -358,15 +429,22 @@ def simulate(
         )
 
     rng = Generator(Philox(SeedSequence(seed_parts)))
-    rows = policy._rows
-    if rows is None or not (rows.g is g and rows.context is context and rows.r == r):
-        rows = policy._rows = _Rows(g, r, context)
-    get = rows.get
     events: list[tuple[float, int, str]] = []
     history = HistoryView(events)
-    budget = rows.budget
-    pick = None if policy.markov else policy.pick
-    decide = None if policy.markov or pick is not None else policy.decide
+    alloc = _allocator(policy, g, float(r), context, history)
+    rows = None
+    if n <= ROW_BITS:
+        rows = policy._rows
+        if rows is None or not (rows.g is g and rows.context is context and rows.r == r):
+            rows = policy._rows = _Rows(g, r, context)
+        get = rows.get
+        markov_alloc = alloc if policy.markov else None
+    else:  # the cut and each vertex's infected-neighbor count, kept per event
+        c = float(cut(g, mask))
+        cnt = [(a & mask).bit_count() for a in g.adj]
+        nbrs = [tuple(NodeSet(a, n)) for a in g.adj]
+        deg = g.deg
+        full = (1 << n) - 1
     log1p = math.log1p
     # uniforms come in growing chunks (short runs stay cheap, long runs amortize);
     # Philox yields them in sequence, so the chunk sizes never change a value
@@ -378,15 +456,15 @@ def simulate(
     tau, censored, reason = None, False, None
     nev = 0
     while True:
-        row = get(mask)
-        if row is None:
-            row = rows.build(mask, policy)
-        c, cum, verts, infected, items, cure = row
-        if pick is not None:
-            items, cure = ((pick(mask, nev, infected), budget),), budget
-        elif decide is not None:
-            history._n = nev
-            items, cure = rows.checked(decide(t, NodeSet(mask, n), g, context, history), mask)
+        if rows is not None:
+            row = get(mask)
+            if row is None:
+                row = rows.build(mask, markov_alloc)
+            c, cum, verts, infected, items, cure = row
+            if items is None:
+                items, cure = alloc(mask, t, nev, infected)
+        else:
+            items, cure = alloc(mask, t, nev, None)
         total = c + cure
         if total <= 0.0:
             censored, reason = True, "max_time"
@@ -418,7 +496,21 @@ def simulate(
 
         # --- event selection: healthy vertices ascending, then cures ascending
         if x < c:
-            chosen = verts[bisect_right(cum, x)]
+            if rows is not None:
+                chosen = verts[bisect_right(cum, x)]
+            else:
+                acc = 0.0
+                h = full ^ mask
+                while h:
+                    low = h & -h
+                    chosen = low.bit_length() - 1
+                    acc += cnt[chosen]
+                    if x < acc:
+                        break
+                    h ^= low
+                c += deg[chosen] - 2 * cnt[chosen]
+                for w in nbrs[chosen]:
+                    cnt[w] += 1
             mask |= 1 << chosen
             kind = "infect"
         else:
@@ -429,6 +521,10 @@ def simulate(
                     break
             mask ^= 1 << chosen
             kind = "cure"
+            if rows is None:
+                c += 2 * cnt[chosen] - deg[chosen]
+                for w in nbrs[chosen]:
+                    cnt[w] -= 1
 
         nev += 1
         if record_events:
@@ -553,6 +649,7 @@ def estimate_extinction(
             results = [res for block in pool.map(_replicate, blocks) for res in block]
     else:
         results = _replicate(range(replications), job)
+        policy._rows = None  # rows live for one call
     good = [tau for tau, reason, _ in results if reason is None]
     reasons = [reason for _, reason, _ in results]
     mean = float(np.mean(good)) if good else None

@@ -481,15 +481,82 @@ class TestRowCache:
             assert [k for _, k in pol.calls] == list(range(tr.n_events))
             assert [t for t, _ in pol.calls] == [0.0] + [t for t, _, _ in tr.events[:-1]]
 
-    def test_row_cap_changes_no_output(self, monkeypatch):
-        def outputs():
-            traces = [(key, tr.serialize(), tr.tau, tr.n_events) for key, tr in frozen_traces()]
-            pol = one_node()
-            est = estimate_extinction(K3, K3.full_mask, pol, 1.0, 50, 3)
-            return traces, est.csv_row(), est.n_events, len(pol._rows)
+    def test_scan_path_reproduces_frozen_outputs(self, monkeypatch):
+        # with no graph small enough for rows, every run takes the incremental scan
+        monkeypatch.setattr(simulation, "ROW_BITS", 0)
+        test_seeded_outputs_frozen()
 
-        default = outputs()
-        monkeypatch.setattr(simulation, "ROW_CAP", 1)
-        capped = outputs()
-        assert capped[-1] == 1 < default[-1]
-        assert capped[:-1] == default[:-1]
+    def test_paths_agree_above_row_bits(self, monkeypatch):
+        g = generate("random_regular", 18, d=3, seed=2)
+        assert g.n > simulation.ROW_BITS
+        table = resilience_table(g, max_n=g.n)
+
+        def outputs():
+            out = []
+            for name in FROZEN_POLICIES:
+                pol = HealthyWastePolicy() if name == "healthy_waste" else builtin_policy(name, seed=5, table=table)
+                for i0 in (g.full_mask, 0b1):
+                    tr = simulate(g, i0, pol, 6.0, 11, max_events=2000)
+                    out.append((name, tr.serialize(), tr.tau, tr.n_events))
+            return out
+
+        scanned = outputs()
+        monkeypatch.setattr(simulation, "ROW_BITS", g.n)
+        assert outputs() == scanned
+        assert sum(n_events for *_, n_events in scanned) > 10_000
+
+
+class DecideOverride(simulation.DegreeProportional):
+    """A subclass of a Markov built-in whose decide reads the event count."""
+
+    def decide(self, t, infected, graph, context=None, history=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        vs = list(infected)
+        return {vs[len(history) % len(vs)]: self.budget}
+
+
+class OneNodeOverride(simulation.MaxDegreeInfected):
+    def decide(self, t, infected, graph, context=None, history=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().decide(t, infected, graph, context, history)
+
+
+class HealthyChoice(simulation.MaxDegreeInfected):
+    """Names vertex 0 whether or not it is infected."""
+
+    def choose(self, mask):
+        return 0
+
+
+class TestPolicyContract:
+    @pytest.mark.parametrize("row_bits", [0, 15])
+    def test_overriding_decide_drops_markov(self, monkeypatch, row_bits):
+        monkeypatch.setattr(simulation, "ROW_BITS", row_bits)
+        assert not DecideOverride.markov and not OneNodeOverride.markov
+        assert simulation.MaxDegreeInfected.markov and HealthyChoice.markov
+        for pol in (DecideOverride(), OneNodeOverride()):
+            tr = simulate(K3, K3.full_mask, pol, 1.5, 4)
+            validate_trace(tr)
+            assert tr.tau is not None
+            assert pol.calls == tr.n_events
+
+    def test_one_node_attribute_rejected(self):
+        with pytest.raises(TypeError, match="one_node"):
+            type("OldStyle", (CuringPolicy,), {"one_node": True, "pick": lambda self, t, mask, n: 0})
+
+    @pytest.mark.parametrize("row_bits", [0, 15])
+    def test_choice_is_checked(self, monkeypatch, row_bits):
+        monkeypatch.setattr(simulation, "ROW_BITS", row_bits)
+        g = generate("path", 4)
+        # a budget on a healthy vertex cures nothing: only vertex 0 is ever cured
+        tr = simulate(g, 0b0110, HealthyChoice(), 2.0, 3, max_events=200)
+        validate_trace(tr)
+        assert tr.n_events == 200
+        assert {v for _, v, kind in tr.events if kind == "cure"} == {0}
+
+        class OffGraph(simulation.MaxDegreeInfected):
+            def choose(self, mask):
+                return 7
+
+        with pytest.raises(PolicyFault, match="nonexistent vertex 7"):
+            simulate(g, 0b0110, OffGraph(), 2.0, 3)
