@@ -49,7 +49,7 @@ def _echo_config(config: dict, save_path: Optional[str]) -> None:
 
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Layer CLI flags over a --config file; explicit flags win."""
+    """Layer CLI flags over a --config file (explicit flags win); resolve the seed."""
     config = {}
     if getattr(args, "config", None):
         try:
@@ -62,6 +62,7 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     for key in keys:
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else config.get(key)
+    merged["seed"] = _master_seed(merged["seed"])
     merged["command"] = args.cmd
     return merged
 
@@ -133,7 +134,6 @@ def _build_policy(cfg: dict, g: graph.Graph, tables):
 def cmd_gen(args) -> int:
     keys = ["kind", "n", "p", "d", "seed", "out"]
     cfg = _merge_config(args, keys)
-    cfg["seed"] = _master_seed(cfg["seed"])
     _echo_config(cfg, args.save_config)
     if not cfg["kind"] or not cfg["n"]:
         raise UsageError("gen needs --kind and --n")
@@ -143,13 +143,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cutwidth(args) -> int:
-    keys = ["graph", "gen", "p", "d", "seed", "max_n", "out"]
+    keys = ["graph", "gen", "p", "d", "seed", "out"]
     cfg = _merge_config(args, keys)
-    cfg["seed"] = _master_seed(cfg["seed"])
     _echo_config(cfg, args.save_config)
     g = _load_graph(cfg)
-    max_n = int(cfg["max_n"] or 24)
-    tables = crusade.monotone_context(g, max_n=min(max_n, 24))
+    tables = crusade.monotone_context(g)
     w = tables.W
     e = bounds.slack_E(g.n, g.max_degree, w)
     cert = crusade.optimal_crusade(g, g.full_mask, tables)
@@ -160,15 +158,14 @@ def cmd_cutwidth(args) -> int:
 
 
 def cmd_resilience(args) -> int:
-    keys = ["graph", "gen", "p", "d", "seed", "bag", "max_n", "out", "table_out"]
+    keys = ["graph", "gen", "p", "d", "seed", "bag", "out", "table_out"]
     cfg = _merge_config(args, keys)
-    cfg["seed"] = _master_seed(cfg["seed"])
     _echo_config(cfg, args.save_config)
     g = _load_graph(cfg)
     if cfg["bag"] is None:
         raise UsageError("resilience needs --bag (comma ids or 'all')")
     bag = _parse_bag(str(cfg["bag"]), g)
-    tables = crusade.resilience_table(g, max_n=min(int(cfg["max_n"] or 15), 24))
+    tables = crusade.resilience_table(g)
     gamma = tables.gamma_of(bag)
     e = bounds.slack_E(g.n, g.max_degree, tables.W)
     lines = [f"gamma={gamma}, E={e}"]
@@ -187,7 +184,6 @@ def cmd_simulate(args) -> int:
         "seed", "max_time", "max_events", "workers", "out", "trace_out",
     ]
     cfg = _merge_config(args, keys)
-    cfg["seed"] = _master_seed(cfg["seed"])
     cfg["i0"] = cfg["i0"] or "all"
     cfg["r"] = float(cfg["r"] if cfg["r"] is not None else 1.0)
     cfg["reps"] = int(cfg["reps"] if cfg["reps"] is not None else 1000)
@@ -226,7 +222,6 @@ def cmd_verify(args) -> int:
     cfg["scope"] = cfg["scope"] or "all"
     cfg["max_n"] = int(cfg["max_n"] if cfg["max_n"] is not None else 5)
     cfg["rand_count"] = int(cfg["rand_count"] if cfg["rand_count"] is not None else 20)
-    cfg["seed"] = _master_seed(cfg["seed"])
     cfg["mc_runs"] = int(cfg["mc_runs"] if cfg["mc_runs"] is not None else 20_000)
     rand_ns = tuple(int(x) for x in str(cfg["rand_ns"] or "7,8").split(","))
     cfg["rand_ns"] = ",".join(str(x) for x in rand_ns)
@@ -257,7 +252,6 @@ def cmd_sweep(args) -> int:
     cfg = _merge_config(args, keys)
     cfg["family"] = cfg["family"] or "complete"
     cfg["mode"] = cfg["mode"] or "exact"
-    cfg["seed"] = _master_seed(cfg["seed"])
     cfg["reps"] = int(cfg["reps"] if cfg["reps"] is not None else 1000)
     cfg["i0"] = cfg["i0"] or "all"
     _echo_config(cfg, args.save_config)
@@ -358,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen", help="inline generator spec kind:n")
         p.add_argument("--p", type=float)
         p.add_argument("--d", type=int)
-        p.add_argument("--max-n", dest="max_n", type=int)
         if name == "resilience":
             p.add_argument("--bag", help="comma-separated vertex ids, or 'all'")
             p.add_argument("--table-out", dest="table_out", help="also dump the full subset table CSV here")

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _mask_from, cut, cut_table, popcount_array
+from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, popcount_array
 
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 
@@ -81,7 +81,7 @@ def crusade_width(g: Graph, bags: Sequence) -> int:
 # Monotone table and CutWidth
 # ---------------------------------------------------------------------------
 
-def monotone_table(g: Graph, *, max_n: int = 24, cuts: Optional[np.ndarray] = None) -> np.ndarray:
+def monotone_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     """Width of the best pure-removal clearing of every subset (int16, 2^n).
 
     Recursion: g(empty)=0 and g(B) = min over v in B of f(B-v), where
@@ -89,8 +89,7 @@ def monotone_table(g: Graph, *, max_n: int = 24, cuts: Optional[np.ndarray] = No
     on the layers not yet finished, so toggling a vertex v not in B lands
     there and never wins the min: each vertex costs one gather, no masking.
     """
-    if g.n > max_n:
-        raise SizeCapError(f"monotone table for n={g.n} exceeds cap {max_n}")
+    _check_budget(1 << g.n, f"monotone table for n={g.n}")
     if not g.connected:
         raise ValueError("crusade tables require a connected graph")
     n = g.n
@@ -111,9 +110,9 @@ def monotone_table(g: Graph, *, max_n: int = 24, cuts: Optional[np.ndarray] = No
     return table
 
 
-def cutwidth(g: Graph, *, max_n: int = 24) -> int:
+def cutwidth(g: Graph) -> int:
     """Minimum over removal orders of the maximum cut encountered."""
-    return int(monotone_table(g, max_n=max_n)[g.full_mask])
+    return int(monotone_table(g)[g.full_mask])
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,8 @@ class ResilienceTable:
     """All-subsets cut/monotone/resilience tables for one graph.
 
     ``gamma`` is None for a monotone-only context (:func:`monotone_context`),
-    which is enough for CutWidth reports and crusade reconstruction at sizes
-    where the full resilience sweep would not fit.
+    which is enough for CutWidth reports, single-bag resilience and crusade
+    reconstruction without the resilience sweep.
     """
 
     graph: Graph
@@ -152,6 +151,7 @@ class ResilienceTable:
     def to_csv(self) -> str:
         if self.gamma is None:
             raise ValueError("this table context has no resilience values; use resilience_table()")
+        _check_budget(5 << self.graph.n, f"table CSV for n={self.graph.n}")  # rows peak at ~114 B each
         rows = ["bitmask,cardinality,cut,g,gamma"]
         pc = popcount_array(np.arange(len(self.cut), dtype=np.uint32))
         for m in range(len(self.cut)):
@@ -159,23 +159,24 @@ class ResilienceTable:
         return "\n".join(rows) + "\n"
 
 
-def monotone_context(g: Graph, *, max_n: int = 24) -> ResilienceTable:
+def monotone_context(g: Graph) -> ResilienceTable:
     """Cut and monotone tables only; supports single-bag queries and
     crusade reconstruction without the 2^n resilience sweep."""
-    cuts = cut_table(g, max_n=max_n)
-    return ResilienceTable(graph=g, cut=cuts, g=monotone_table(g, max_n=max_n, cuts=cuts), gamma=None)
+    cuts = cut_table(g)
+    return ResilienceTable(graph=g, cut=cuts, g=monotone_table(g, cuts=cuts), gamma=None)
 
 
-def resilience_table(g: Graph, *, max_n: int = 15) -> ResilienceTable:
+def resilience_table(g: Graph, *, max_n: Optional[int] = None) -> ResilienceTable:
     """Resilience of every subset via the one-free-step + monotone-tail rule.
 
     Let f(T) = max(cut(T), g(T)) be the width of starting a clear at T. A
     superset-min sweep turns f into best(S) = min over T >= S of f(T); the
     candidates for a bag A are then best(A) (no removal) and best(A - v)
     (remove v, possibly adding others). Identical values to enumerating
-    first-step bags per bag, at O(n 2^n) total.
+    first-step bags per bag, at O(n 2^n) total; ``max_n`` is an optional
+    ceiling below the table budget, which bounds the sweep too.
     """
-    if g.n > max_n:
+    if max_n is not None and g.n > max_n:
         raise SizeCapError(f"resilience table for n={g.n} exceeds cap {max_n}")
     cuts = cut_table(g)
     mono = monotone_table(g, cuts=cuts)
@@ -211,7 +212,7 @@ def _first_steps(g: Graph, mask: int, tables: ResilienceTable) -> tuple[np.ndarr
     return np.maximum(tables.cut[bags], tables.g[bags]), bags
 
 
-def resilience(g: Graph, bag, tables: Optional[ResilienceTable] = None, *, max_n: int = 15) -> int:
+def resilience(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> int:
     """Resilience of one bag: the least width over its legal first steps.
 
     Needs only the cut and monotone tables, so without ``tables`` it builds
@@ -221,7 +222,7 @@ def resilience(g: Graph, bag, tables: Optional[ResilienceTable] = None, *, max_n
     """
     mask = _mask_from(bag, g.n)
     if tables is None:
-        tables = monotone_context(g, max_n=max_n)
+        tables = monotone_context(g)
     return int(_first_steps(g, mask, tables)[0].min())
 
 
@@ -296,8 +297,8 @@ def oracle_resilience(g: Graph, bag, *, max_n: int = 10) -> int:
 
     States are all 2^n bags; from S every B with |S \\ B| <= 1 is reachable
     in one step at cost cut(B); minimize the max cost along a path to the
-    empty bag, the first bag excluded. Fan-out is 2^(n-|S|) * (|S|+1), hence
-    the small-n cap.
+    empty bag, the first bag excluded. Fan-out is 2^(n-|S|) * (|S|+1), so
+    ``max_n`` caps this pure-Python search's compute time, not its memory.
     """
     if g.n > max_n:
         raise SizeCapError(f"oracle fan-out for n={g.n} exceeds cap {max_n}")
@@ -342,7 +343,7 @@ def oracle_resilience_table(g: Graph, *, max_n: int = 12, cuts: Optional[np.ndar
     popping B settles min-over-crusades width from B, and every predecessor A
     (a subset of B plus at most one outside vertex) is offered
     max(cut(B), dist(B)). Edge cost depends only on the head bag, so Dijkstra
-    order is valid.
+    order is valid. ``max_n`` caps compute time (~3^n: 0.4 s at n=12), not memory.
     """
     if g.n > max_n:
         raise SizeCapError(f"oracle table for n={g.n} exceeds cap {max_n}")

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 MAX_VERTICES = 64
+TABLE_BUDGET_BYTES = 1 << 29  # one memory budget for every exact table: n <= 24
 
 GENERATOR_KINDS = (
     "complete",
@@ -33,7 +34,7 @@ class GraphFormatError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """An exact-combinatorics request exceeds its configured size cap."""
+    """An exact-combinatorics request exceeds the table memory budget or an oracle's compute cap."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -42,6 +43,14 @@ class DisconnectedGraphError(ValueError):
 
 class GenerationError(RuntimeError):
     """A random generator failed to produce a connected graph in its retry budget."""
+
+
+def _check_budget(entries: int, what: str) -> None:
+    """Refuse, before allocating, work over ``entries`` subsets (or subset
+    pairs) at 24 B each: the monotone table and gamma sweep peak at ~22 B."""
+    nbytes = 24 * entries
+    if nbytes > TABLE_BUDGET_BYTES:
+        raise SizeCapError(f"{what} needs ~{nbytes} bytes, over the {TABLE_BUDGET_BYTES}-byte table budget")
 
 
 def _mask_from(bag, n: int) -> int:
@@ -336,14 +345,13 @@ def cut_after_toggle(g: Graph, mask: int, current_cut: int, v: int) -> int:
     return current_cut + g.deg[v] - 2 * inside
 
 
-def cut_table(g: Graph, *, max_n: int = 24) -> np.ndarray:
+def cut_table(g: Graph) -> np.ndarray:
     """Cut of every subset, as an int16 array indexed by bitmask.
 
     Built by peeling the lowest set bit, so entry m needs only entry
-    m^lowbit(m), already computed. 2^n entries; refuses n > max_n.
+    m^lowbit(m), already computed. 2^n entries; refuses n > 24 (the budget).
     """
-    if g.n > max_n:
-        raise SizeCapError(f"cut table for n={g.n} exceeds cap {max_n}")
+    _check_budget(1 << g.n, f"cut table for n={g.n}")
     n = g.n
     size = 1 << n
     table = np.zeros(size, dtype=np.int16)
@@ -360,7 +368,7 @@ def cut_table(g: Graph, *, max_n: int = 24) -> np.ndarray:
 
 
 def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for uint32 masks (n <= 24 tables fit easily)."""
+    """Vectorized popcount for uint32 masks."""
     x = a.astype(np.uint32, copy=True)
     x -= (x >> 1) & np.uint32(0x55555555)
     x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))

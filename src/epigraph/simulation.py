@@ -304,19 +304,15 @@ class EpidemicTrace:
 
 
 class HistoryView:
-    """Read-only window onto the running event log, handed to ``decide``."""
+    """The ``history`` handed to a non-Markov ``decide``; its ``len()`` counts the events so far."""
 
-    __slots__ = ("_events", "_n")
+    __slots__ = ("_n",)
 
-    def __init__(self, events: list):
-        self._events, self._n = events, 0  # the engine sets _n before each decide
+    def __init__(self):
+        self._n = 0  # the engine sets _n before each decide
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def events(self) -> tuple:
-        return tuple(self._events)
 
 
 def _allocator(policy: CuringPolicy, g: Graph, budget: float, context, history: HistoryView):
@@ -430,7 +426,7 @@ def simulate(
 
     rng = Generator(Philox(SeedSequence(seed_parts)))
     events: list[tuple[float, int, str]] = []
-    history = HistoryView(events)
+    history = HistoryView()
     alloc = _allocator(policy, g, float(r), context, history)
     rows = None
     if n <= ROW_BITS:

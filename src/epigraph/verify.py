@@ -40,7 +40,7 @@ from .crusade import (
     resilience,
     resilience_table,
 )
-from .graph import Graph, _is_connected, cut_table, generate, popcount_array
+from .graph import Graph, _check_budget, _is_connected, cut_table, generate, popcount_array
 
 MAX_FAILURES_KEPT = 5
 
@@ -147,8 +147,9 @@ def _sos_max_inplace(flat: np.ndarray, bits: int) -> None:
 def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[CheckResult]:
     """Superadditivity, submodularity, size bound, set-difference Lipschitz
     bound, and complement symmetry of the cut, exhaustively over all bags
-    (and bag pairs) of one graph."""
+    (and bag pairs) of one graph; the 4^n pair arrays refuse n >= 13."""
     n = g.n
+    _check_budget(1 << (2 * n), f"cut pair checks for n={n}")
     size = 1 << n
     delta = g.max_degree
     c = (cut_table(g) if cuts is None else cuts).astype(np.int32)

@@ -58,6 +58,33 @@ class TestGenAndReports:
         code, out, err = run(["cutwidth", "--graph", str(bad)], capsys)
         assert code == 2
 
+    def test_resilience_above_old_cap(self, capsys):
+        code, out, err = run(["resilience", "--gen", "cycle:16", "--bag", "all"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "gamma=2, E=16"
+
+    def test_table_budget_is_input_error(self, capsys):
+        code, out, err = run(["cutwidth", "--gen", "path:25"], capsys)
+        assert code == 2
+        assert "table budget" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["cutwidth", "--gen", "cycle:6"],
+        ["resilience", "--gen", "star:5", "--bag", "0,1"],
+    ])
+    def test_saved_config_with_max_n_replays(self, argv, tmp_path, capsys):
+        # configs saved while the report commands took --max-n still carry
+        # the key; it is ignored and the output is unchanged
+        cfg_path = tmp_path / "old.json"
+        code, first, err = run(argv + ["--save-config", str(cfg_path)], capsys)
+        assert code == 0
+        saved = json.loads(cfg_path.read_text())
+        for max_n in (None, 15, 24):
+            cfg_path.write_text(json.dumps({**saved, "max_n": max_n}))
+            code, out, err = run([argv[0], "--config", str(cfg_path)], capsys)
+            assert code == 0 and out == first
+            assert "max_n" not in echoed_config(err)
+
     def test_gen_unknown_kind_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen", "--kind", "hypercube", "--n", "4"])
@@ -78,6 +105,14 @@ class TestSimulateCommand:
         fields = lines[1].split(",")
         assert fields[0] == "complete:2"
         assert abs(float(fields[4]) - 3.0) < 1.0
+
+    def test_resilience_greedy_above_old_cap(self, capsys):
+        code, out, err = run(
+            ["simulate", "--gen", "cycle:16", "--policy", "resilience_greedy", "--r", "3", "--reps", "5"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("cycle:16,resilience_greedy,3.0,5,")
 
     def test_zero_reps_usage_error(self, capsys):
         code, out, err = run(["simulate", "--gen", "complete:2", "--reps", "0"], capsys)

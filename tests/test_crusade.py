@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from epigraph import (
     Crusade,
     CrusadeStepError,
+    ResilienceTable,
     SizeCapError,
     crusade_width,
     cut,
+    cut_table,
     cutwidth,
     generate,
     improvement_bags,
+    monotone_context,
     monotone_table,
     optimal_crusade,
     oracle_resilience,
@@ -19,7 +23,7 @@ from epigraph import (
     resilience,
     resilience_table,
 )
-from epigraph.graph import Graph, NodeSet
+from epigraph.graph import TABLE_BUDGET_BYTES, Graph, NodeSet, _check_budget
 from epigraph.verify import enumerate_connected_graphs
 
 
@@ -88,9 +92,22 @@ class TestCutwidth:
             assert int(table[mask]) == min(options)
 
     def test_size_cap(self):
-        g = generate("path", 5)
+        # one byte budget for every table: n=25 is refused before anything is
+        # allocated, and the error names the bytes it would need
+        g = generate("path", 25)
+        builds = (cut_table, monotone_table, monotone_context, cutwidth, resilience_table, lambda g: resilience(g, 1))
+        for build in builds:
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeCapError, match=f"needs ~{24 << 25} bytes, over the {TABLE_BUDGET_BYTES}-byte"):
+                    build(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        _check_budget(1 << 24, "n=24 tables")  # fits
         with pytest.raises(SizeCapError):
-            monotone_table(g, max_n=4)
+            _check_budget(1 << 25, "n=25 tables")
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)], allow_disconnected=True)
@@ -139,6 +156,22 @@ class TestResilience:
                 t = resilience_table(g)
                 for mask in range(1 << n):
                     assert resilience(g, mask, t) == t.gamma_of(mask)
+
+    def test_n16_routes_agree(self):
+        # n=16 is inside the table budget; gamma, single-bag resilience and
+        # certificates were refused there while the budget was an n cap
+        g = generate("erdos_renyi", 16, p=0.3, seed=11)
+        t = resilience_table(g)
+        ctx = monotone_context(g)
+        assert t.W == cutwidth(g) == ctx.W == t.gamma_of(g.full_mask)
+        rng = np.random.default_rng(16)
+        bags = [1, 0b101, g.full_mask] + [int(m) for m in rng.integers(1, 1 << 16, size=12)]
+        for mask in bags:
+            gamma = t.gamma_of(mask)
+            assert resilience(g, mask, t) == resilience(g, mask, ctx) == gamma
+            assert optimal_crusade(g, mask, t).width == optimal_crusade(g, mask, ctx).width == gamma
+        for mask in bags[:3]:
+            assert resilience(g, mask) == t.gamma_of(mask)
 
     def test_table_size_cap(self):
         with pytest.raises(SizeCapError):
@@ -299,6 +332,13 @@ class TestWidthOp:
 
 
 class TestCsvExport:
+    def test_csv_refused_over_budget(self):
+        # the row strings of an n=23 table would need ~1 GB; refused up front
+        g = generate("path", 23)
+        t = ResilienceTable(graph=g, cut=np.zeros(1, np.int16), g=np.zeros(1, np.int16), gamma=np.zeros(1, np.int16))
+        with pytest.raises(SizeCapError, match="table CSV for n=23 needs"):
+            t.to_csv()
+
     def test_header_and_rows(self):
         g = generate("path", 3)
         t = resilience_table(g)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from epigraph import cut_table, generate, resilience_table
+from epigraph import SizeCapError, cut_table, generate, resilience_table
 from epigraph.verify import (
     check_bound_walk_identity,
     check_crusade_certificates,
@@ -82,6 +84,17 @@ class TestFaultInjection:
         failed = [r for r in check_cut_properties(g, cuts=bad) if not r.passed]
         assert failed
         assert any(r.failures for r in failed)
+
+    def test_cut_pair_checks_refused_over_budget(self):
+        # 4^13 bag pairs at 24 B each: refused before the pair arrays exist
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match="cut pair checks for n=13 needs"):
+                check_cut_properties(generate("path", 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWalkChecks:
