@@ -7,7 +7,7 @@ are constant, so exact Gillespie sampling applies: draw an exponential
 holding time at the total rate, then pick the event proportionally.
 
 On graphs with n <= ``ROW_BITS`` each event reads the *row* of the current
-infected set (see ``_Rows``): its cut, the infection weights found by
+infected set (see ``_Engine``): its cut, the infection weights found by
 bisection, and the cure items. Rows are pure functions of the set, built on
 first visit and kept for one (policy, graph, r, context); all 2^n fit. A
 ``markov`` policy's allocation is cached in the row, so it is asked for and
@@ -20,7 +20,11 @@ asked per event. Both paths give the same bytes.
 Reproducibility: the event stream is driven by a counter-based Philox
 generator keyed by SeedSequence; replication i of a run with master seed s
 uses SeedSequence((s, i)). Identical inputs and seed give byte-identical
-traces.
+traces. A run of consecutive indices takes its keys from blocks derived at
+once (``_seed_keys``, numpy's SeedSequence algorithm on uint32 arrays) and
+re-keys one Philox kept with the engine's set-up, so a replication in such
+a run pays for neither the hashing nor a new generator; the streams are the
+same.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .graph import Graph, NodeSet, _mask_from, cut, cut_after_toggle
 
 DEFAULT_MAX_TIME = 1e6
 DEFAULT_MAX_EVENTS = 10**8
-ROW_BITS = 15  # graphs with n <= ROW_BITS keep a row per infected set; see _Rows
+ROW_BITS = 15  # graphs with n <= ROW_BITS keep a row per infected set; see _Engine
 
 TRACE_CSV_HEADER = "time,kind,vertex"
 ESTIMATE_CSV_HEADER = "graph,policy,r,reps,mean_tau,se,censored"
@@ -59,6 +63,51 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     if any(s < 0 for s in parts):
         raise ValueError("seeds must be non-negative integers")
     return parts
+
+
+def _seed_keys(prefix: tuple[int, ...], first: int, count: int):
+    """``SeedSequence(prefix + (i,)).generate_state(2, np.uint64)`` for i in [first, first + count).
+
+    numpy's SeedSequence algorithm (hashmix the entropy words into a pool of
+    four, mix every pool word into every other, hash the pool out), run on
+    uint32 arrays with one column per index. The hash constants do not
+    depend on the data, so the hashmix calls that feed one pool word into
+    the other three run as one (3, count) step. An index of 2^32 or more
+    spans two words, so a block that reaches it falls back to SeedSequence.
+    """
+    if first + count > 1 << 32:
+        return [SeedSequence(prefix + (i,)).generate_state(2, np.uint64) for i in range(first, first + count)]
+    u32 = np.uint32
+    const = 0x43B0D7E5
+
+    def hashmix(v, k, mult=0x931E8875):  # the next k hashmix calls, call j on row j of v
+        nonlocal const
+        c = [const]
+        for _ in range(k):
+            c.append(c[-1] * mult & 0xFFFFFFFF)
+        const = c[-1]
+        c = np.array(c, u32)[:, None]
+        v = (v ^ c[:-1]) * c[1:]
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        v = x * u32(0xCA01F9DD) - y * u32(0x4973F715)
+        return v ^ (v >> u32(16))
+
+    # each part's little-endian 32-bit words (one for 0), the index's word, zeros up to the pool size
+    words = [p >> 32 * k & 0xFFFFFFFF for p in prefix for k in range(max(1, (p.bit_length() + 31) // 32))]
+    entropy = np.zeros((max(4, len(words) + 1), count), u32)
+    entropy[:len(words)] = np.array(words, u32)[:, None]
+    entropy[len(words)] = np.arange(first, first + count, dtype=u32)
+    pool = hashmix(entropy[:4], 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for w in entropy[4:]:
+        pool = mix(pool, hashmix(w, 4))
+    const = 0x8B51F9DD  # generate_state hashes the pool out with its own constants
+    out = hashmix(pool, 4, 0x58F38DED).astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T  # two little-endian words per key
 
 
 def _mix(a: int, b: int, c: int) -> int:
@@ -93,11 +142,18 @@ class CuringPolicy:
     with the time and a ``history`` whose ``len()`` counts the events so far.
     A subclass that overrides ``decide`` is not Markov unless its own class
     body sets ``markov = True`` again.
+
+    The engine keeps its set-up for the last (graph, r, context) on the
+    policy, so one policy object runs one simulation at a time.
     """
 
     name = "abstract"
     markov = False
-    _rows = None  # the engine's rows for the last (graph, r, context) it ran on
+    _engine = None  # the engine's set-up for the last (graph, r, context) it ran on; see _Engine
+
+    def __getstate__(self):
+        # the engine holds closures, which do not pickle; a copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_engine"}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -360,23 +416,48 @@ def _allocator(policy: CuringPolicy, g: Graph, budget: float, context, history: 
     return alloc
 
 
-class _Rows(dict):
-    """Rows of one policy's runs on (graph, r, context), keyed by infected mask.
+class _Engine(dict):
+    """One policy's engine set-up on (graph, r, context), kept on the policy.
 
-    A row is (cut, cum, verts, infected, items, cure): the cut as a float;
-    the cumulative infection weights (floats) of the healthy vertices with an
-    infected neighbor, and those vertices, ascending; then, for a Markov
-    policy, None and its allocation from ``alloc``, else the infected
-    vertices (ascending), None and 0.0. Rows are kept only on graphs with
-    n <= ``ROW_BITS``: all 2^n rows then fit, so the dict is never cleared
-    and a cache does at most 2^n row builds over its life.
+    It holds the allocation (see ``_allocator``) with its ``HistoryView``, a
+    Philox generator that :meth:`stream` re-keys per run, the neighbour
+    tuples of the per-event path and, on graphs with n <= ``ROW_BITS``, the
+    rows, keyed by infected mask. A row is (cut, cum, verts, infected,
+    items, cure): the cut as a float; the cumulative infection weights
+    (floats) of the healthy vertices with an infected neighbor, and those
+    vertices, ascending; then, for a Markov policy, None and its allocation
+    from ``alloc``, else the infected vertices (ascending), None and 0.0.
+    All 2^n rows then fit, so the dict is never cleared and an engine does
+    at most 2^n row builds over its life.
     """
 
-    def __init__(self, g: Graph, r: float, context):
+    def __init__(self, policy: CuringPolicy, g: Graph, r: float, context):
         super().__init__()
         self.g, self.r, self.context = g, r, context
+        self.history = HistoryView()
+        self.alloc = _allocator(policy, g, float(r), context, self.history)
+        self.markov_alloc = self.alloc if policy.markov else None
+        self.nbrs = [tuple(NodeSet(a, g.n)) for a in g.adj]
+        self.rng = Generator(Philox(0))
+        self._fresh = self.rng.bit_generator.state  # counter 0, empty buffer: a new stream once keyed
+        self._keys = (None, 0, ())  # (seed prefix, first index, keys) of the last keys derived
 
-    def build(self, mask: int, markov_alloc) -> tuple:
+    def stream(self, parts: tuple[int, ...]) -> Generator:
+        """The generator, in the state of a new ``Generator(Philox(SeedSequence(parts)))``."""
+        prefix, i = parts[:-1], parts[-1]
+        block_prefix, first, keys = self._keys
+        j = i - first
+        if block_prefix != prefix or not 0 <= j < len(keys):
+            # a run that goes on past the last keys gets a block of them; a
+            # lone seed is hashed alone, at the cost it always had
+            ahead = block_prefix == prefix and j == len(keys)
+            keys = _seed_keys(prefix, i, 512) if ahead else [SeedSequence(parts).generate_state(2, np.uint64)]
+            self._keys, j = (prefix, i, keys), 0
+        self._fresh["state"]["key"] = keys[j]
+        self.rng.bit_generator.state = self._fresh
+        return self.rng
+
+    def build(self, mask: int) -> tuple:
         g = self.g
         cum, verts = [], []
         acc = 0
@@ -386,8 +467,8 @@ class _Rows(dict):
                 acc += c
                 cum.append(float(acc))
                 verts.append(v)
-        if markov_alloc:
-            infected, (items, cure) = None, markov_alloc(mask, None, None, None)
+        if self.markov_alloc:
+            infected, (items, cure) = None, self.markov_alloc(mask, None, None, None)
         else:
             infected, items, cure = tuple(NodeSet(mask, g.n)), None, 0.0
         row = self[mask] = (float(acc), tuple(cum), tuple(verts), infected, items, cure)
@@ -424,21 +505,20 @@ def simulate(
             t_end=0.0, n_events=0, final_infected=NodeSet(0, n),
         )
 
-    rng = Generator(Philox(SeedSequence(seed_parts)))
+    engine = policy._engine
+    if engine is None or not (engine.g is g and engine.context is context and engine.r == r):
+        engine = policy._engine = _Engine(policy, g, r, context)
+    rng = engine.stream(seed_parts)
+    alloc = engine.alloc
     events: list[tuple[float, int, str]] = []
-    history = HistoryView()
-    alloc = _allocator(policy, g, float(r), context, history)
     rows = None
     if n <= ROW_BITS:
-        rows = policy._rows
-        if rows is None or not (rows.g is g and rows.context is context and rows.r == r):
-            rows = policy._rows = _Rows(g, r, context)
+        rows = engine
         get = rows.get
-        markov_alloc = alloc if policy.markov else None
     else:  # the cut and each vertex's infected-neighbor count, kept per event
         c = float(cut(g, mask))
         cnt = [(a & mask).bit_count() for a in g.adj]
-        nbrs = [tuple(NodeSet(a, n)) for a in g.adj]
+        nbrs = engine.nbrs
         deg = g.deg
         full = (1 << n) - 1
     log1p = math.log1p
@@ -455,7 +535,7 @@ def simulate(
         if rows is not None:
             row = get(mask)
             if row is None:
-                row = rows.build(mask, markov_alloc)
+                row = rows.build(mask)
             c, cum, verts, infected, items, cure = row
             if items is None:
                 items, cure = alloc(mask, t, nev, infected)
@@ -630,9 +710,10 @@ def estimate_extinction(
 
     Replication i runs with seed (seed, i). A pool gets the inputs once per
     worker and runs contiguous blocks of replication indices, so a worker
-    keeps its rows across its blocks; results are aggregated by replication
-    index, so worker scheduling cannot change the estimate. Censored runs
-    are excluded from the mean but always reported, with their reasons.
+    keeps its engine set-up, rows and seed keys across its blocks; results
+    are aggregated by replication index, so worker scheduling cannot change
+    the estimate. Censored runs are excluded from the mean but always
+    reported, with their reasons.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -645,7 +726,7 @@ def estimate_extinction(
             results = [res for block in pool.map(_replicate, blocks) for res in block]
     else:
         results = _replicate(range(replications), job)
-        policy._rows = None  # rows live for one call
+    policy._engine = None  # the engine's set-up lives for one call
     good = [tau for tau, reason, _ in results if reason is None]
     reasons = [reason for _, reason, _ in results]
     mean = float(np.mean(good)) if good else None

@@ -1,8 +1,13 @@
+import dataclasses
 import hashlib
+import itertools
 import math
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from epigraph import (
     CuringPolicy,
@@ -560,3 +565,94 @@ class TestPolicyContract:
 
         with pytest.raises(PolicyFault, match="nonexistent vertex 7"):
             simulate(g, 0b0110, OffGraph(), 2.0, 3)
+
+
+SEED_PARTS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 1)  # 1, 1, 2, 2 and 5 uint32 words
+
+
+class TestSeedStreams:
+    def test_block_keys_equal_seed_sequence(self):
+        prefixes = [p for k in range(4) for p in itertools.product(SEED_PARTS, repeat=k)]
+        # 0, 1, 511, 512, 2^31 and 2^32 - 1; the last two blocks reach index 2^32 and beyond
+        blocks = ((0, 2), (511, 2), (2**31, 2), (2**32 - 2, 2), (2**32 - 1, 2), (2**40, 2))
+        for prefix in prefixes:
+            for first, count in blocks:
+                keys = simulation._seed_keys(prefix, first, count)
+                for j in range(count):
+                    want = SeedSequence(prefix + (first + j,)).generate_state(2, np.uint64)
+                    assert np.array_equal(keys[j], want), (prefix, first + j)
+
+    def test_rekeyed_generator_equals_fresh(self):
+        engine = simulation._Engine(one_node(), K3, 1.0, None)
+        runs = [(5, 0), (9, 3), (9, 4), (9, 700), (9, 5), (9, 2), (7,), (8,), (2**40,), (3, 2**32 - 1), (3, 2**32)]
+        runs += [(4, i) for i in range(1100)] + [(4, 1000), (4, 1001)]  # consecutive: keys from blocks
+        for parts in runs:
+            rng = engine.stream(parts)
+            fresh = Generator(Philox(SeedSequence(parts)))
+            for draw in (lambda gen: gen.integers(0, 2**32, size=500, dtype=np.uint32), lambda gen: gen.random(500)):
+                assert draw(rng).tolist() == draw(fresh).tolist(), parts
+            # leave a pending 32-bit half and a partly read buffer for the next re-key
+            rng.integers(0, 2**32, dtype=np.uint32)
+            rng.random(2)
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+
+class CountingPolicy(CuringPolicy):
+    """Not Markov: checks that each run is prepared and starts its event count at 0."""
+
+    name = "counting"
+
+    def prepare(self, graph, budget, context=None):
+        super().prepare(graph, budget, context)
+        self.runs = getattr(self, "runs", 0) + 1
+        self.decides = 0
+
+    def decide(self, t, infected, graph, context=None, history=None):
+        assert len(history) == self.decides, "history must count this run's events from 0"
+        self.decides += 1
+        vs = list(infected)
+        return {vs[self.decides % len(vs)]: self.budget}
+
+
+class TestEngineReuse:
+    def test_reused_policy_matches_fresh_policies(self):
+        er, c16 = generate("erdos_renyi", 8, p=0.4, seed=1), generate("cycle", 16)
+        ctx = {g.label: resilience_table(g) for g in (K3, er, c16)}
+        t8 = ctx[er.label]
+        other_er = dataclasses.replace(t8, gamma=t8.gamma.max() - t8.gamma)  # steers resilience_greedy elsewhere
+        # (graph, r, context, seed, replications, workers); replications None is one simulate call
+        steps = [
+            (K3, 1.0, ctx[K3.label], (1, 0), None, None),
+            (K3, 1.0, ctx[K3.label], (1, 1), None, None),
+            (er, 2.0, ctx[er.label], (1, 2), None, None),
+            (er, 2.0, other_er, (1, 3), None, None),
+            (K3, 1.0, ctx[K3.label], 4, 30, None),
+            (K3, 1.5, ctx[K3.label], (1, 4), None, None),
+            (er, 2.0, ctx[er.label], 5, 20, 2),
+            (c16, 4.0, ctx[c16.label], 9, None, None),
+            (K3, 1.0, ctx[K3.label], (1, 2), None, None),
+            (c16, 4.0, ctx[c16.label], 6, 6, None),
+            (er, 2.0, other_er, 7, 25, 2),
+            (er, 2.0, ctx[er.label], (1, 3), None, None),
+        ]
+
+        def run(pol, g, r, context, seed, reps, workers):
+            if reps is None:
+                tr = simulate(g, g.full_mask, pol, r, seed, context=context, max_events=2000)
+                validate_trace(tr)
+                return tr.serialize(), tr.tau
+            est = estimate_extinction(g, g.full_mask, pol, r, reps, seed, workers=workers, context=context, max_events=2000)
+            return est.taus, est.n_events
+
+        for name in ("max_degree_infected", "degree_proportional", "random_infected", "resilience_greedy", "counting"):
+            make = CountingPolicy if name == "counting" else lambda: builtin_policy(name, seed=3)
+            reused = make()
+            for step in steps:
+                runs = getattr(reused, "runs", 0)
+                assert run(reused, *step) == run(make(), *step), (name, step)
+                g, r, context, seed, reps, workers = step
+                if name == "counting" and not workers:  # pooled runs are prepared in the workers
+                    assert reused.runs - runs == (reps or 1)
+            assert reused._engine is not None
+            assert pickle.loads(pickle.dumps(reused))._engine is None  # a copy builds its own
