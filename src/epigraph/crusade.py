@@ -28,13 +28,14 @@ cancel out in the comparison.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, popcount_array
+from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, subset_popcounts
 
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 
@@ -88,6 +89,9 @@ def monotone_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray
     f = max(cut, g). Filled one cardinality layer at a time. f stays INF16
     on the layers not yet finished, so toggling a vertex v not in B lands
     there and never wins the min: each vertex costs one gather, no masking.
+    A layer's masks are intp indices, built from the popcounts of the high
+    and low halves, so numpy casts none of them and no pass visits all 2^n
+    masks; the gathers run into buffers sized once for the widest layer.
     """
     _check_budget(1 << g.n, f"monotone table for n={g.n}")
     if not g.connected:
@@ -98,15 +102,20 @@ def monotone_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray
     table = np.zeros(size, dtype=np.int16)
     f = np.full(size, INF16, dtype=np.int16)
     f[0] = cuts[0]
-    all_masks = np.arange(size, dtype=np.uint32)
-    pc = popcount_array(all_masks)
+    lo = n // 2  # layer k: high halves with j bits x low halves with k - j bits
+    pc = subset_popcounts(n - lo)  # its first 2^lo entries count the low halves
+    low = [np.flatnonzero(pc[: 1 << lo] == j) for j in range(lo + 1)]
+    high = [np.flatnonzero(pc == j) << lo for j in range(n - lo + 1)]
+    idx_buf, tmp_buf, best_buf = (np.empty(math.comb(n, n // 2), t) for t in (np.intp, np.int16, np.int16))
     for k in range(1, n + 1):
-        layer = all_masks[pc == k]
-        best = f[layer ^ np.uint32(1)]
+        layer = np.concatenate([(high[j][:, None] | low[k - j]).ravel() for j in range(max(0, k - lo), min(k, n - lo) + 1)])
+        idx, tmp, best = idx_buf[: len(layer)], tmp_buf[: len(layer)], best_buf[: len(layer)]
+        np.take(f, np.bitwise_xor(layer, 1, out=idx), out=best)
         for v in range(1, n):
-            np.minimum(best, f[layer ^ np.uint32(1 << v)], out=best)
+            np.take(f, np.bitwise_xor(layer, 1 << v, out=idx), out=tmp)
+            np.minimum(best, tmp, out=best)
         table[layer] = best
-        f[layer] = np.maximum(cuts[layer], best)
+        f[layer] = np.maximum(np.take(cuts, layer, out=tmp), best, out=tmp)
     return table
 
 
@@ -153,7 +162,7 @@ class ResilienceTable:
             raise ValueError("this table context has no resilience values; use resilience_table()")
         _check_budget(5 << self.graph.n, f"table CSV for n={self.graph.n}")  # rows peak at ~114 B each
         rows = ["bitmask,cardinality,cut,g,gamma"]
-        pc = popcount_array(np.arange(len(self.cut), dtype=np.uint32))
+        pc = subset_popcounts(self.graph.n)
         for m in range(len(self.cut)):
             rows.append(f"{m},{int(pc[m])},{int(self.cut[m])},{int(self.g[m])},{int(self.gamma[m])}")
         return "\n".join(rows) + "\n"

@@ -47,7 +47,7 @@ class GenerationError(RuntimeError):
 
 def _check_budget(entries: int, what: str) -> None:
     """Refuse, before allocating, work over ``entries`` subsets (or subset
-    pairs) at 24 B each: the monotone table and gamma sweep peak at ~22 B."""
+    pairs) at 24 B each: a gamma table peaks at ~17 B, in the cut table."""
     nbytes = 24 * entries
     if nbytes > TABLE_BUDGET_BYTES:
         raise SizeCapError(f"{what} needs ~{nbytes} bytes, over the {TABLE_BUDGET_BYTES}-byte table budget")
@@ -367,8 +367,16 @@ def cut_table(g: Graph) -> np.ndarray:
     return table
 
 
+def subset_popcounts(n: int) -> np.ndarray:
+    """Popcount of every mask 0..2^n-1 as int8, built by doubling."""
+    pc = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        pc = np.concatenate((pc, pc + 1))
+    return pc
+
+
 def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for uint32 masks."""
+    """Vectorized popcount for arbitrary uint32 masks."""
     x = a.astype(np.uint32, copy=True)
     x -= (x >> 1) & np.uint32(0x55555555)
     x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))

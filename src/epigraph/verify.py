@@ -40,7 +40,7 @@ from .crusade import (
     resilience,
     resilience_table,
 )
-from .graph import Graph, _check_budget, _is_connected, cut_table, generate, popcount_array
+from .graph import Graph, _check_budget, _is_connected, cut_table, generate, subset_popcounts
 
 MAX_FAILURES_KEPT = 5
 
@@ -154,7 +154,7 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     delta = g.max_degree
     c = (cut_table(g) if cuts is None else cuts).astype(np.int32)
     masks = np.arange(size, dtype=np.uint32)
-    pc = popcount_array(masks).astype(np.int32)
+    pc = subset_popcounts(n).astype(np.int32)
 
     super_add = CheckResult("cut_superadditivity")
     A = masks[:, None]
@@ -230,8 +230,7 @@ def check_resilience_properties(
     W = tables.W
     gamma = tables.gamma.astype(np.int32)
     cuts = (tables.cut if cut_override is None else cut_override).astype(np.int32)
-    masks = np.arange(size, dtype=np.uint32)
-    pc = popcount_array(masks).astype(np.int32)
+    pc = subset_popcounts(n).astype(np.int32)
     delta_e = (n + 2) * delta - 2 * W  # delta * E, an exact integer
 
     monotone = CheckResult("resilience_monotone")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from itertools import permutations
 
@@ -78,18 +79,19 @@ class TestCutwidth:
             assert cutwidth(g) <= g.n * g.max_degree / 2
 
     def test_monotone_recursion_holds(self):
-        g = generate("grid", 6)
-        table = monotone_table(g)
-        cuts = [cut(g, m) for m in range(1 << g.n)]
-        for mask in range(1, 1 << g.n):
-            options = []
-            m = mask
-            while m:
-                low = m & -m
-                prev = mask ^ low
-                options.append(max(cuts[prev], int(table[prev])))
-                m ^= low
-            assert int(table[mask]) == min(options)
+        # g(B) = min over v in B of max(cut, g)(B - v), one bag at a time
+        graphs = [generate("grid", 6)]
+        graphs += [generate("erdos_renyi", n, p=p, seed=s) for n in (7, 8, 9, 10) for p, s in ((0.3, n), (0.5, n + 1), (0.8, n + 2))]
+        graphs += [generate("random_regular", n, d=d, seed=n) for n, d in ((7, 2), (8, 3), (9, 4), (10, 3))]
+        graphs += [generate(kind, n) for kind, n in (("grid", 9), ("star", 8), ("cycle", 10), ("path", 7))]
+        for g in graphs:
+            cuts = [cut(g, m) for m in range(1 << g.n)]
+            expected = [0] * (1 << g.n)
+            for mask in sorted(range(1, 1 << g.n), key=int.bit_count):
+                expected[mask] = min(
+                    max(cuts[mask ^ (1 << v)], expected[mask ^ (1 << v)]) for v in range(g.n) if (mask >> v) & 1
+                )
+            assert monotone_table(g).tolist() == expected, g.label
 
     def test_size_cap(self):
         # one byte budget for every table: n=25 is refused before anything is
@@ -113,6 +115,47 @@ class TestCutwidth:
         g = Graph(4, [(0, 1), (2, 3)], allow_disconnected=True)
         with pytest.raises(ValueError):
             monotone_table(g)
+
+
+# sha256 of the cut, g and gamma bytes of three seeded n=16 graphs
+FROZEN_TABLE_HASHES = {
+    "erdos_renyi": (
+        "8a4efed968a6dc856d64f246ad4d8f7d7ce8a8d6a1ab28e6bcb9025a5aa87a6b",
+        "2f514233c3e9b872ff117fafed594e1503143ff92723f8bcc88918da4f59e9ae",
+        "2ce47435ef5e831b66da9263b812e6710c4c0a711f1b3a6bb45b8641b4bfbc8b",
+    ),
+    "random_regular": (
+        "b3d19954a2804e15d141ede8edb12b7800a68cd1ead61370cc17919edc341bfc",
+        "44e50c3c42271b0ad6b51f088f61b77fd0bd39c1a7887b0d4c460f226bf331cc",
+        "623b90b96167a1b45f5885bc88290455b1c20d0337c85b1ea6e08a4b82b798df",
+    ),
+    "grid": (
+        "6bd4441845b4d8a9ec40f2f521645b87c954773af878c39219f9dfd523f19c75",
+        "2b2386cbf4cb78602755103d5d6129315ec06bd46a0b340f7346d52bb20a4c5b",
+        "769e93f640430f9c79a7f4d66d35234b87013d9422c17fd5500412a9ba596433",
+    ),
+}
+N16_GRAPHS = {"erdos_renyi": dict(p=0.4, seed=1), "random_regular": dict(d=4, seed=1), "grid": {}}
+
+
+class TestTablesN16:
+    @pytest.mark.parametrize("kind", sorted(FROZEN_TABLE_HASHES))
+    def test_table_bytes_frozen(self, kind):
+        t = resilience_table(generate(kind, 16, **N16_GRAPHS[kind]))
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.cut, t.g, t.gamma))
+        assert got == FROZEN_TABLE_HASHES[kind]
+
+    def test_peak_within_budget_estimate(self):
+        # _check_budget charges 24 B per subset; the tables must not need more,
+        # or n=24 would pass the check and then overrun TABLE_BUDGET_BYTES
+        g = generate("grid", 16)
+        tracemalloc.start()
+        try:
+            resilience_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 << g.n  # n=25 is refused by the same estimate: test_size_cap
 
 
 class TestResilience:

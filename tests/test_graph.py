@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from epigraph import (
@@ -12,6 +13,7 @@ from epigraph import (
     parse_graph,
     write_graph,
 )
+from epigraph.graph import popcount_array, subset_popcounts
 
 
 class TestCut:
@@ -47,6 +49,13 @@ class TestCut:
             g = generate(kind, n)
             table = cut_table(g)
             assert all(int(table[m]) == cut(g, m) for m in range(1 << n))
+
+    def test_subset_popcounts_match_popcount_array(self):
+        for n in range(13):
+            pc = subset_popcounts(n)
+            assert pc.dtype == np.int8
+            assert pc.tolist() == popcount_array(np.arange(1 << n, dtype=np.uint32)).tolist()
+        assert subset_popcounts(20)[-1] == 20
 
 
 class TestGraphConstruction:
