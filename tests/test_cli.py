@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,14 @@ class TestGenAndReports:
         bad.write_text("2 1\n0 0\n")
         code, out, err = run(["cutwidth", "--graph", str(bad)], capsys)
         assert code == 2
+
+    def test_disconnected_graph_file(self, tmp_path, capsys):
+        # the waiver exists only in the library (parse_graph(..., allow_disconnected=True))
+        split = tmp_path / "split.graph"
+        split.write_text("4 2\n0 1\n2 3\n")
+        code, out, err = run(["cutwidth", "--graph", str(split)], capsys)
+        assert code == 2
+        assert "disconnected" in err and out == ""
 
     def test_resilience_above_old_cap(self, capsys):
         code, out, err = run(["resilience", "--gen", "cycle:16", "--bag", "all"], capsys)
@@ -141,24 +150,6 @@ class TestSimulateCommand:
         assert cli.main(argv + ["--out", str(a)]) == 0
         assert cli.main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_echoed_config_reproduces_output(self, tmp_path, capsys):
-        cfg_path = tmp_path / "run.json"
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        code, out, err = run(
-            ["simulate", "--gen", "complete:2", "--r", "2", "--reps", "300",
-             "--seed", "5", "--out", str(a), "--save-config", str(cfg_path)],
-            capsys,
-        )
-        assert code == 0
-        saved = json.loads(cfg_path.read_text())
-        saved["out"] = str(b)
-        cfg2 = tmp_path / "rerun.json"
-        cfg2.write_text(json.dumps(saved))
-        code, out, err = run(["simulate", "--config", str(cfg2)], capsys)
-        assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_trace_out_is_deterministic(self, tmp_path, capsys):
@@ -263,6 +254,86 @@ class TestSweepCommand:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "n,delta,W,E,gamma0,r,condition,bound_log10"
         assert all(ln.split(",")[6] == "unmet" for ln in lines[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "random_regular", "--d", "3", "--n", "6,8", "--mode", "simulate",
+         "--reps", "20", "--seed", "3"],
+        ["--family", "erdos_renyi", "--p", "0.5", "--n", "8", "--mode", "bound"],
+    ])
+    def test_random_family_rows_replay_from_saved_config(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        code, first, err = run(["sweep", *argv, "--save-config", str(cfg_path)], capsys)
+        assert code == 0 and "flagged" not in err
+        rows = first.splitlines()[1:]
+        assert len(rows) == len(argv[argv.index("--n") + 1].split(","))
+        assert not any(row.endswith(("censored", ",error,")) for row in rows)
+        code, replay, err = run(["sweep", "--config", str(cfg_path)], capsys)
+        assert code == 0 and replay == first
+
+    def test_unknown_policy_is_usage_error(self, capsys):
+        code, out, err = run(["sweep", "--n", "2", "--mode", "simulate", "--reps", "5",
+                              "--policy", "max_degree_infected,max_degree_infectd"], capsys)
+        assert code == 2 and "unknown policy" in err and out == ""
+
+    def test_unknown_family_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--family", "hypercube", "--n", "4", "--mode", "bound"])
+        assert exc.value.code == 2
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"family": "hypercube", "n": "4", "mode": "bound"}))
+        code, out, err = run(["sweep", "--config", str(cfg_path)], capsys)
+        assert code == 2 and "unknown family" in err and out == ""
+
+
+ROUND_TRIP_ARGV = {
+    "gen": ["--kind", "erdos_renyi", "--n", "8", "--p", "0.5", "--seed", "3"],
+    "cutwidth": ["--gen", "random_regular:8", "--d", "3", "--seed", "5"],
+    "resilience": ["--gen", "star:5", "--bag", "0,1"],
+    "simulate": ["--gen", "complete:2", "--r", "2", "--reps", "300", "--seed", "5"],
+    "verify": ["--scope", "walk", "--mc-runs", "4000", "--seed", "42"],
+    "sweep": ["--family", "cycle", "--n", "4,5", "--r", "1,2", "--mode", "simulate",
+              "--policy", "resilience_greedy,random_infected", "--reps", "20"],
+}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("cmd", sorted(ROUND_TRIP_ARGV))
+    def test_echoed_config_reproduces_output(self, cmd, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        a = tmp_path / "a.out"
+        b = tmp_path / "b.out"
+        code, out, err = run(
+            [cmd, *ROUND_TRIP_ARGV[cmd], "--out", str(a), "--save-config", str(cfg_path)], capsys,
+        )
+        assert code == 0
+        echoed = echoed_config(err)
+        # every parsed option reaches the config; --config/--save-config only steer it
+        options = vars(cli.build_parser().parse_args([cmd]))
+        assert set(echoed) == set(options) - {"cmd", "func", "config", "save_config"} | {"command"}
+        saved = json.loads(cfg_path.read_text())
+        assert saved == echoed
+        saved["out"] = str(b)
+        cfg2 = tmp_path / "rerun.json"
+        cfg2.write_text(json.dumps(saved))
+        code, out, err = run([cmd, "--config", str(cfg2)], capsys)
+        assert code == 0
+        # verify's summary line reports its own wall time
+        assert re.sub(rb"elapsed=\S+", b"", a.read_bytes()) == re.sub(rb"elapsed=\S+", b"", b.read_bytes())
+
+    @pytest.mark.parametrize("argv, nulled", [
+        (["simulate", "--gen", "complete:3", "--reps", "200", "--seed", "11"], ["policy"]),
+        (["sweep", "--n", "3", "--mode", "simulate", "--reps", "50"], ["max_time", "max_events"]),
+    ])
+    def test_config_with_unresolved_defaults_replays(self, argv, nulled, tmp_path, capsys):
+        # older versions saved these defaults as null; null still means the default
+        cfg_path = tmp_path / "run.json"
+        code, first, err = run(argv + ["--save-config", str(cfg_path)], capsys)
+        assert code == 0
+        saved = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**saved, **dict.fromkeys(nulled)}))
+        code, out, err = run([argv[0], "--config", str(cfg_path)], capsys)
+        assert code == 0 and out == first
+        assert echoed_config(err) == saved
 
 
 class TestModuleEntryPoint:
