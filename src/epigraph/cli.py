@@ -208,6 +208,7 @@ def cmd_verify(args) -> int:
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     _write_text(cfg["out"], "\n".join(report.lines()) + "\n")
+    print(f"elapsed={report.elapsed_s:.1f}s", file=sys.stderr)
     return EXIT_OK if report.all_passed else 1
 
 
@@ -281,7 +282,7 @@ def _sweep_cell(cfg: dict, n: int, r: Fraction, pol: str) -> str:
             w = crusade.cutwidth(g)
             return bounds.bound_report_row(g.n, g.max_degree, w, w, r)
         return _estimate(cfg, g, pol, float(r)).csv_row()
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, graph.GenerationError) as exc:
         reps = cfg["reps"] if cfg["mode"] == "simulate" else 0
         sys.stderr.write(f"cell {label} r={r} {pol}: flagged ({exc})\n")
         if cfg["mode"] == "bound":

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, subset_popcounts
+from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, subset_sums
 
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 
@@ -103,7 +103,7 @@ def monotone_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray
     f = np.full(size, INF16, dtype=np.int16)
     f[0] = cuts[0]
     lo = n // 2  # layer k: high halves with j bits x low halves with k - j bits
-    pc = subset_popcounts(n - lo)  # its first 2^lo entries count the low halves
+    pc = subset_sums([1] * (n - lo), np.int8)  # its first 2^lo entries count the low halves
     low = [np.flatnonzero(pc[: 1 << lo] == j) for j in range(lo + 1)]
     high = [np.flatnonzero(pc == j) << lo for j in range(n - lo + 1)]
     idx_buf, tmp_buf, best_buf = (np.empty(math.comb(n, n // 2), t) for t in (np.intp, np.int16, np.int16))
@@ -162,7 +162,7 @@ class ResilienceTable:
             raise ValueError("this table context has no resilience values; use resilience_table()")
         _check_budget(5 << self.graph.n, f"table CSV for n={self.graph.n}")  # rows peak at ~114 B each
         rows = ["bitmask,cardinality,cut,g,gamma"]
-        pc = subset_popcounts(self.graph.n)
+        pc = subset_sums([1] * self.graph.n, np.int8)
         for m in range(len(self.cut)):
             rows.append(f"{m},{int(pc[m])},{int(self.cut[m])},{int(self.g[m])},{int(self.gamma[m])}")
         return "\n".join(rows) + "\n"
@@ -212,10 +212,7 @@ def _first_steps(g: Graph, mask: int, tables: ResilienceTable) -> tuple[np.ndarr
     none, and each row adds every subset of A's complement in ascending
     mask order. Row-major order is therefore the certificate tie-break.
     """
-    spread = np.zeros(1, dtype=np.uint32)  # subsets of the complement, ascending
-    for v in range(g.n):
-        if not (mask >> v) & 1:
-            spread = np.concatenate((spread, spread | np.uint32(1 << v)))
+    spread = subset_sums([1 << v for v in range(g.n) if not (mask >> v) & 1], np.uint32)  # complement's subsets, ascending
     bases = [mask ^ (1 << v) for v in range(g.n) if (mask >> v) & 1] + [mask]
     bags = np.array(bases, dtype=np.uint32)[:, None] | spread
     return np.maximum(tables.cut[bags], tables.g[bags]), bags

@@ -47,7 +47,7 @@ class GenerationError(RuntimeError):
 
 def _check_budget(entries: int, what: str) -> None:
     """Refuse, before allocating, work over ``entries`` subsets (or subset
-    pairs) at 24 B each: a gamma table peaks at ~17 B, in the cut table."""
+    pairs) at 24 B each: a gamma table peaks at ~13 B, in the monotone table."""
     nbytes = 24 * entries
     if nbytes > TABLE_BUDGET_BYTES:
         raise SizeCapError(f"{what} needs ~{nbytes} bytes, over the {TABLE_BUDGET_BYTES}-byte table budget")
@@ -348,42 +348,29 @@ def cut_after_toggle(g: Graph, mask: int, current_cut: int, v: int) -> int:
 def cut_table(g: Graph) -> np.ndarray:
     """Cut of every subset, as an int16 array indexed by bitmask.
 
-    Built by peeling the lowest set bit, so entry m needs only entry
-    m^lowbit(m), already computed. 2^n entries; refuses n > 24 (the budget).
+    Built by doubling: adding v to a subset S of {0..v-1} changes the cut
+    by deg(v) - 2*|N(v) & S|, so the table over {0..v} is the table over
+    {0..v-1} followed by that plus v's change. 2^n entries; refuses n > 24
+    (the budget).
     """
     _check_budget(1 << g.n, f"cut table for n={g.n}")
-    n = g.n
-    size = 1 << n
-    table = np.zeros(size, dtype=np.int16)
-    adj = g.adj
-    deg = g.deg
-    # peel v as the LOWEST set bit: entry hi|bit(v) needs entry hi, whose
-    # lowest bit is > v, so fill high-bit groups first
-    for v in range(n - 1, -1, -1):
-        hi = np.arange(1 << (n - v - 1), dtype=np.uint32) << (v + 1)
-        masks = hi | np.uint32(1 << v)
-        table[masks] = table[hi] + deg[v] - 2 * popcount_array(hi & np.uint32(adj[v]))
+    table = np.zeros(1, dtype=np.int16)
+    for v, (nbrs, deg) in enumerate(zip(g.adj, g.deg)):
+        inside = subset_sums([(nbrs >> u) & 1 for u in range(v)], np.int16)
+        table = np.concatenate((table, table + deg - 2 * inside))
     assert int(table.max(initial=0)) < 2**15 - 1
     return table
 
 
-def subset_popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask 0..2^n-1 as int8, built by doubling."""
-    pc = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        pc = np.concatenate((pc, pc + 1))
-    return pc
+def subset_sums(weights: Sequence[int], dtype) -> np.ndarray:
+    """s[m] = sum of weights[i] over the bits i of m, for every m < 2^len(weights).
 
-
-def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for arbitrary uint32 masks."""
-    x = a.astype(np.uint32, copy=True)
-    x -= (x >> 1) & np.uint32(0x55555555)
-    x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))
-    x = (x + (x >> 4)) & np.uint32(0x0F0F0F0F)
-    x += x >> 8
-    x += x >> 16
-    return (x & np.uint32(0x3F)).astype(np.int16)
+    Built by doubling, in ``dtype``; the caller picks one wide enough.
+    """
+    s = np.zeros(1, dtype=dtype)
+    for w in weights:
+        s = np.concatenate((s, s + dtype(w)))
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -350,8 +350,6 @@ class EpidemicTrace:
     t_end: float
     n_events: int
     final_infected: NodeSet
-    tau_star: Optional[float] = None
-    band: Optional["BandReport"] = None
 
     def serialize(self) -> str:
         rows = [TRACE_CSV_HEADER]
@@ -495,7 +493,7 @@ def simulate(
     if r < 0:
         raise ValueError("curing budget r must be >= 0")
     seed_parts = _seed_entropy(seed)
-    mask = _mask_from(i0, g.n)
+    start = mask = _mask_from(i0, g.n)
     policy.prepare(g, r, context)
     n = g.n
     if mask == 0:
@@ -613,7 +611,7 @@ def simulate(
             break
 
     return EpidemicTrace(
-        graph=g, i0=g.nodeset(i0), policy=policy.name, r=r, seed=seed_parts,
+        graph=g, i0=NodeSet(start, n), policy=policy.name, r=r, seed=seed_parts,
         events=tuple(events), tau=tau, censored=censored, censor_reason=reason,
         t_end=t, n_events=nev, final_infected=NodeSet(mask, n),
     )
@@ -853,6 +851,4 @@ def band_instrumentation(trace: EpidemicTrace, gamma0, delta: int, *, slack_e=No
         floor_val = Fraction(gamma0) / 3 - (3 * Fraction(slack_e) + 4) * delta
         report.drift_floor = float(floor_val)
         report.drift_ok = min_cut is None or Fraction(min_cut) >= floor_val
-    trace.tau_star = tau_star
-    trace.band = report
     return report

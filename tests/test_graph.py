@@ -13,7 +13,7 @@ from epigraph import (
     parse_graph,
     write_graph,
 )
-from epigraph.graph import popcount_array, subset_popcounts
+from epigraph.graph import subset_sums
 
 
 class TestCut:
@@ -45,17 +45,34 @@ class TestCut:
                 assert cut_after_toggle(g, mask, base, v) == cut(g, mask ^ (1 << v))
 
     def test_cut_table_matches_recount(self):
-        for kind, n in (("path", 5), ("cycle", 6), ("complete", 4), ("star", 5)):
-            g = generate(kind, n)
+        graphs = [generate(kind, n) for kind, n in (("path", 5), ("cycle", 6), ("complete", 4), ("star", 5))]
+        graphs.append(Graph(1, []))
+        for n in range(7, 13):
+            graphs += [generate("grid", n), generate("complete", n)]
+            graphs += [generate("erdos_renyi", n, seed=n, p=p) for p in (0.3, 0.6)]
+            if n % 2 == 0:
+                graphs.append(generate("random_regular", n, seed=n, d=3))
+        for g in graphs:
             table = cut_table(g)
-            assert all(int(table[m]) == cut(g, m) for m in range(1 << n))
+            assert table.dtype == np.int16
+            assert table.tolist() == [cut(g, m) for m in range(1 << g.n)], g.label
 
-    def test_subset_popcounts_match_popcount_array(self):
+    def test_subset_sums_match_bit_count(self):
         for n in range(13):
-            pc = subset_popcounts(n)
+            pc = subset_sums([1] * n, np.int8)
             assert pc.dtype == np.int8
-            assert pc.tolist() == popcount_array(np.arange(1 << n, dtype=np.uint32)).tolist()
-        assert subset_popcounts(20)[-1] == 20
+            assert pc.tolist() == [m.bit_count() for m in range(1 << n)]
+        assert subset_sums([1] * 20, np.int8)[-1] == 20
+        # bit weights enumerate the submasks of a mask in ascending order
+        mask = 0b1011_0010_0000_0000_0000_0000_0110_1001
+        bits = [1 << v for v in range(32) if (mask >> v) & 1]
+        subs = subset_sums(bits, np.uint32)
+        assert subs.dtype == np.uint32
+        submasks, s = [], mask
+        while s:
+            submasks.append(s)
+            s = (s - 1) & mask  # the next smaller submask
+        assert subs.tolist() == [0] + submasks[::-1]
 
 
 class TestGraphConstruction:
