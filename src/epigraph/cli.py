@@ -270,7 +270,7 @@ def cmd_sweep(args) -> int:
 
 def _sweep_cell(cfg: dict, n: int, r: Fraction, pol: str) -> str:
     family = cfg["family"]
-    label = f"{family}:{n}"
+    label = graph.generator_label(family, n, p=cfg["p"], d=cfg["d"])
     try:
         if cfg["mode"] == "exact":
             if family != "complete":

@@ -27,8 +27,8 @@ cancel out in the comparison.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -82,40 +82,78 @@ def crusade_width(g: Graph, bags: Sequence) -> int:
 # Monotone table and CutWidth
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _low_plan(lo: int) -> tuple:
+    """Column plan of a block of 2^lo low-bit masks, for :func:`monotone_table`.
+
+    Returns (order, pos, bounds, nbrs): ``order`` lists the columns by
+    popcount, so low layer k is the slice bounds[k]:bounds[k + 1], and
+    ``pos`` inverts it; nbrs[k] holds, vertex-major, the sorted position of
+    col ^ (1 << v) for every low vertex v and every col of layer k.
+    """
+    pc = subset_sums([1] * lo, np.int8)
+    order = np.argsort(pc, kind="stable")
+    pos = np.argsort(order)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=lo + 1))))
+    bits = 1 << np.arange(lo)
+    nbrs = [pos[(bits[:, None] ^ order[bounds[k] : bounds[k + 1]]).ravel()] for k in range(lo + 1)]
+    return order, pos, bounds, nbrs
+
+
 def monotone_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     """Width of the best pure-removal clearing of every subset (int16, 2^n).
 
     Recursion: g(empty)=0 and g(B) = min over v in B of f(B-v), where
-    f = max(cut, g). Filled one cardinality layer at a time. f stays INF16
-    on the layers not yet finished, so toggling a vertex v not in B lands
-    there and never wins the min: each vertex costs one gather, no masking.
-    A layer's masks are intp indices, built from the popcounts of the high
-    and low halves, so numpy casts none of them and no pass visits all 2^n
-    masks; the gathers run into buffers sized once for the widest layer.
+    f = max(cut, g). f stays INF16 on masks not yet finished, so toggling a
+    vertex v not in B lands there and never wins the min: no masking.
+
+    The tables are viewed as 2^hi rows (the high bits of a mask) by 2^lo
+    columns (the low bits) and filled one row layer (the rows of one
+    popcount) at a time. A gather of single entries, one per vertex and
+    subset, lands anywhere in the 2^n table, which at n = 20 is the size of
+    the L2 cache; here each high vertex u costs one gather of whole rows,
+    F[rows ^ (1 << u)], contiguous runs from the finished layer below (a
+    row that lacks u lands on an unfinished INF16 row). The low vertices
+    then work inside the layer's block, transposed to one contiguous run
+    per column with the columns in popcount order: each low layer is one
+    gather of its neighbour columns (:func:`_low_plan`) and a min.
+
+    Width rule: up to n = 12 the whole table is one block (lo = n), whose
+    cached plan stays within 2^12 masks; above that, blocks of 2^8
+    columns, the width that measured fastest or near it from n = 13 to 22
+    (2-core Xeon). Narrower blocks pay numpy's per-call cost on short
+    runs, wider ones transpose more and gather fewer rows per call.
     """
     _check_budget(1 << g.n, f"monotone table for n={g.n}")
     if not g.connected:
         raise ValueError("crusade tables require a connected graph")
     n = g.n
-    size = 1 << n
     cuts = cut_table(g) if cuts is None else cuts
-    table = np.zeros(size, dtype=np.int16)
-    f = np.full(size, INF16, dtype=np.int16)
-    f[0] = cuts[0]
-    lo = n // 2  # layer k: high halves with j bits x low halves with k - j bits
-    pc = subset_sums([1] * (n - lo), np.int8)  # its first 2^lo entries count the low halves
-    low = [np.flatnonzero(pc[: 1 << lo] == j) for j in range(lo + 1)]
-    high = [np.flatnonzero(pc == j) << lo for j in range(n - lo + 1)]
-    idx_buf, tmp_buf, best_buf = (np.empty(math.comb(n, n // 2), t) for t in (np.intp, np.int16, np.int16))
-    for k in range(1, n + 1):
-        layer = np.concatenate([(high[j][:, None] | low[k - j]).ravel() for j in range(max(0, k - lo), min(k, n - lo) + 1)])
-        idx, tmp, best = idx_buf[: len(layer)], tmp_buf[: len(layer)], best_buf[: len(layer)]
-        np.take(f, np.bitwise_xor(layer, 1, out=idx), out=best)
-        for v in range(1, n):
-            np.take(f, np.bitwise_xor(layer, 1 << v, out=idx), out=tmp)
-            np.minimum(best, tmp, out=best)
-        table[layer] = best
-        f[layer] = np.maximum(np.take(cuts, layer, out=tmp), best, out=tmp)
+    lo = n if n <= 12 else 8
+    hi = n - lo
+    order, pos, bounds, nbrs = _low_plan(lo)
+    table = np.empty(1 << n, dtype=np.int16)
+    f = np.full(1 << n, INF16, dtype=np.int16)
+    G, F, CUT = (a.reshape(1 << hi, 1 << lo) for a in (table, f, cuts))
+    row_pc = subset_sums([1] * hi, np.int8)
+    for j in range(hi + 1):
+        rows = np.flatnonzero(row_pc == j)
+        tmp = np.empty((len(rows), 1 << lo), dtype=np.int16)
+        best = np.full_like(tmp, INF16)
+        if j == 0:
+            best[0, 0] = 0  # the empty set
+        for u in range(hi):
+            np.minimum(best, np.take(F, rows ^ (1 << u), axis=0, out=tmp), out=best)
+        best = best.T[order]  # one run per column, layers contiguous
+        cut_block = np.take(CUT, rows, axis=0).T[order]
+        f_block = np.full_like(best, INF16)
+        for k in range(lo + 1):
+            layer = slice(bounds[k], bounds[k + 1])
+            near = np.take(f_block, nbrs[k], axis=0).reshape(lo, -1, len(rows))
+            np.minimum(best[layer], near.min(axis=0), out=best[layer])
+            np.maximum(cut_block[layer], best[layer], out=f_block[layer])
+        F[rows] = f_block[pos].T
+        G[rows] = best[pos].T
     return table
 
 

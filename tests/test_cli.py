@@ -208,7 +208,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("mode, kept_row, flagged_row", [
         ("bound", "4,2,1,5,1,1,unmet,", "8,,,,,1,error,"),
-        ("simulate", "erdos_renyi:4:p0.05,max_degree_infected,1.0,5,", "erdos_renyi:8,max_degree_infected,1.0,5,,,censored"),
+        ("simulate", "erdos_renyi:4:p0.05,max_degree_infected,1.0,5,", "erdos_renyi:8:p0.05,max_degree_infected,1.0,5,,,censored"),
     ])
     def test_generation_failure_flagged_and_sweep_continues(self, mode, kept_row, flagged_row, tmp_path, capsys):
         # no connected G(8, 0.05) sample turns up in the generator's retries

@@ -80,7 +80,10 @@ class TestCutwidth:
 
     def test_monotone_recursion_holds(self):
         # g(B) = min over v in B of max(cut, g)(B - v), one bag at a time
-        graphs = [generate("grid", 6)]
+        # one block up to n = 12, blocks of rows from n = 13 (see monotone_table)
+        graphs = [Graph(1, []), generate("grid", 6), generate("grid", 12), generate("random_regular", 13, d=4, seed=13)]
+        graphs += [generate("erdos_renyi", n, p=0.6, seed=n) for n in (2, 3, 4, 5)]
+        graphs += [generate("erdos_renyi", n, p=0.4, seed=n) for n in (11, 12, 13, 14)]
         graphs += [generate("erdos_renyi", n, p=p, seed=s) for n in (7, 8, 9, 10) for p, s in ((0.3, n), (0.5, n + 1), (0.8, n + 2))]
         graphs += [generate("random_regular", n, d=d, seed=n) for n, d in ((7, 2), (8, 3), (9, 4), (10, 3))]
         graphs += [generate(kind, n) for kind, n in (("grid", 9), ("star", 8), ("cycle", 10), ("path", 7))]
@@ -136,14 +139,34 @@ FROZEN_TABLE_HASHES = {
     ),
 }
 N16_GRAPHS = {"erdos_renyi": dict(p=0.4, seed=1), "random_regular": dict(d=4, seed=1), "grid": {}}
+# the same for two n=20 graphs, recorded before the monotone kernel was blocked
+FROZEN_N20_HASHES = {
+    "erdos_renyi": (
+        "bd4eadb135000914e6859babe0bf4b19f52accccb79a290b79c2c42c05e6a1b6",
+        "f2c0aaddc27c8354f53cd3f5e2a5789580842f679fec0a3a3071212666a7aeec",
+        "b948febc7a7d6b34b0a53b9099b67b0e221d3dd6b53f1a859d752f07811582c0",
+    ),
+    "grid": (
+        "212533ac1b1d1983f2559ffe0b85163c32d3c7d886124750a7234fd942d30d71",
+        "0ce973ab1294a2e95ab9ed35e4176b2e0adc4d5889536fc712a133fc84831853",
+        "1e45b860ceb283ec8c2aa0eb476410f70f5bc84e5db3a78e7c728094da1e0d0c",
+    ),
+}
+
+
+def _table_hashes(kind, n):
+    t = resilience_table(generate(kind, n, **N16_GRAPHS[kind]))
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.cut, t.g, t.gamma))
 
 
 class TestTablesN16:
     @pytest.mark.parametrize("kind", sorted(FROZEN_TABLE_HASHES))
     def test_table_bytes_frozen(self, kind):
-        t = resilience_table(generate(kind, 16, **N16_GRAPHS[kind]))
-        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.cut, t.g, t.gamma))
-        assert got == FROZEN_TABLE_HASHES[kind]
+        assert _table_hashes(kind, 16) == FROZEN_TABLE_HASHES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN_N20_HASHES))
+    def test_table_bytes_frozen_n20(self, kind):
+        assert _table_hashes(kind, 20) == FROZEN_N20_HASHES[kind]
 
     def test_peak_within_budget_estimate(self):
         # _check_budget charges 24 B per subset; the tables must not need more,
