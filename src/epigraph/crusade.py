@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, subset_sums
+from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget, _mask_from, cut, cut_table, subset_pairs, subset_sums
 
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 
@@ -230,15 +230,12 @@ def resilience_table(g: Graph, *, max_n: Optional[int] = None) -> ResilienceTabl
     n = g.n
     best = np.maximum(cuts, mono)
     for v in range(n):
-        width = 1 << v
-        view = best.reshape(-1, 2, width)
-        np.minimum(view[:, 0, :], view[:, 1, :], out=view[:, 0, :])
+        without, with_v = subset_pairs(best, v)
+        np.minimum(without, with_v, out=without)
     gamma = best.copy()
     for v in range(n):
-        width = 1 << v
-        gview = gamma.reshape(-1, 2, width)
-        bview = best.reshape(-1, 2, width)
-        np.minimum(gview[:, 1, :], bview[:, 0, :], out=gview[:, 1, :])
+        with_v = subset_pairs(gamma, v)[1]
+        np.minimum(with_v, subset_pairs(best, v)[0], out=with_v)
     return ResilienceTable(graph=g, cut=cuts, g=mono, gamma=gamma)
 
 
@@ -277,8 +274,9 @@ def improvement_mask(g: Graph, tables: ResilienceTable) -> np.ndarray:
     gamma = tables.gamma
     member = np.zeros(len(gamma), dtype=bool)
     for v in range(g.n):
-        gpair = gamma.reshape(-1, 2, 1 << v)
-        member.reshape(-1, 2, 1 << v)[:, 1, :] |= gpair[:, 0, :] < gpair[:, 1, :]
+        without, with_v = subset_pairs(gamma, v)
+        member_with_v = subset_pairs(member, v)[1]
+        member_with_v |= without < with_v
     return member
 
 

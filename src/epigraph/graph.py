@@ -16,6 +16,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 MAX_VERTICES = 64
+GENERATE_RETRIES = 500  # tries of a random generator for a connected (and simple) graph
 TABLE_BUDGET_BYTES = 1 << 29  # one memory budget for every exact table: n <= 24
 
 GENERATOR_KINDS = (
@@ -86,17 +87,7 @@ class NodeSet:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"n must be in 1..{MAX_VERTICES}, got {n}")
         object.__setattr__(self, "n", n)
-        if isinstance(vertices, int):
-            if vertices < 0 or vertices >> n:
-                raise ValueError(f"bitmask {vertices:#x} has bits outside 0..{n - 1}")
-            mask = vertices
-        else:
-            mask = 0
-            for v in vertices:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-                mask |= 1 << v
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", _mask_from(vertices, n))
 
     def __setattr__(self, *_):
         raise AttributeError("NodeSet is immutable")
@@ -363,6 +354,14 @@ def cut_table(g: Graph) -> np.ndarray:
     return table
 
 
+def subset_pairs(table: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a subset table (indexed by bitmask) split on vertex v:
+    ``(without, with_v)``, each of shape (2^(n-v-1), 2^v). Entry [i, j]
+    belongs to the bag (i << (v + 1)) | j, or to that bag plus v."""
+    pair = table.reshape(-1, 2, 1 << v)
+    return pair[:, 0, :], pair[:, 1, :]
+
+
 def subset_sums(weights: Sequence[int], dtype) -> np.ndarray:
     """s[m] = sum of weights[i] over the bits i of m, for every m < 2^len(weights).
 
@@ -407,12 +406,12 @@ def generate(
     seed: Optional[int] = None,
     p: Optional[float] = None,
     d: Optional[int] = None,
-    retries: int = 500,
 ) -> Graph:
     """Build a connected graph of a named family.
 
     Random kinds (erdos_renyi, random_regular) require a seed and retry up to
-    ``retries`` times for connectivity (and simplicity, for random_regular).
+    ``GENERATE_RETRIES`` times for connectivity (and simplicity, for
+    random_regular).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; expected one of {GENERATOR_KINDS}")
@@ -447,20 +446,12 @@ def generate(
     if kind == "erdos_renyi":
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("erdos_renyi requires 0 < p <= 1")
-        for _ in range(retries):
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < p
-            ]
-            adj = [0] * n
-            for u, v in edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if _is_connected(n, adj):
-                return Graph(n, edges, label=label)
-        raise GenerationError(f"no connected G({n},{p}) sample in {retries} tries")
+        for _ in range(GENERATE_RETRIES):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges, allow_disconnected=True, label=label)
+            if g.connected:
+                return g
+        raise GenerationError(f"no connected G({n},{p}) sample in {GENERATE_RETRIES} tries")
     # random_regular: pairing model, resampled until simple and connected
     if d is None or not 0 <= d < n:
         raise ValueError("random_regular requires 0 <= d < n")
@@ -468,26 +459,15 @@ def generate(
         raise ValueError("random_regular requires n*d even")
     if d == 0:
         raise ValueError("random_regular with d=0 is disconnected for n >= 2")
-    for _ in range(retries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        perm = rng.permutation(len(stubs))
-        pairs = [(stubs[perm[2 * i]], stubs[perm[2 * i + 1]]) for i in range(len(stubs) // 2)]
-        edge_set = set()
-        simple = True
-        for u, v in pairs:
-            if u == v or (min(u, v), max(u, v)) in edge_set:
-                simple = False
-                break
-            edge_set.add((min(u, v), max(u, v)))
-        if not simple:
-            continue
-        adj = [0] * n
-        for u, v in edge_set:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _is_connected(n, adj):
-            return Graph(n, sorted(edge_set), label=label)
-    raise GenerationError(f"no connected {d}-regular graph on {n} vertices in {retries} tries")
+    for _ in range(GENERATE_RETRIES):
+        ends = rng.permutation(n * d) // d  # stub i belongs to vertex i // d
+        try:
+            g = Graph(n, ends.reshape(-1, 2).tolist(), allow_disconnected=True, label=label)
+        except GraphFormatError:
+            continue  # a self-loop or a repeated edge: not simple, draw again
+        if g.connected:
+            return g
+    raise GenerationError(f"no connected {d}-regular graph on {n} vertices in {GENERATE_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import time as _time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -720,6 +719,7 @@ def estimate_extinction(
     if workers and workers > 1 and replications > 1:
         size = max(1, replications // (8 * workers))
         blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
+        from concurrent.futures import ProcessPoolExecutor  # here, so `import epigraph` skips multiprocessing
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
             results = [res for block in pool.map(_replicate, blocks) for res in block]
     else:

@@ -40,9 +40,10 @@ from .crusade import (
     resilience,
     resilience_table,
 )
-from .graph import Graph, _check_budget, _is_connected, cut_table, generate, subset_sums
+from .graph import Graph, _check_budget, cut_table, generate, subset_pairs, subset_sums
 
 MAX_FAILURES_KEPT = 5
+CERTIFICATE_BAGS = 8  # random bags certified per graph above 4 vertices
 
 
 @dataclass
@@ -58,14 +59,19 @@ class CheckResult:
         if len(self.failures) < MAX_FAILURES_KEPT:
             self.failures.append(message)
 
+    def flag(self, hits: np.ndarray, describe: Callable[..., str], limit: int = MAX_FAILURES_KEPT) -> None:
+        """Fail with ``describe(*index)`` for each of the first ``limit``
+        True entries of ``hits``, in index order."""
+        for index in zip(*(ix[:limit].tolist() for ix in hits.nonzero())):
+            self.fail(describe(*index))
+
     def merge(self, other: "CheckResult") -> None:
         assert self.name == other.name
         self.passed = self.passed and other.passed
         self.checked += other.checked
         self.vacuous += other.vacuous
         for f in other.failures:
-            if len(self.failures) < MAX_FAILURES_KEPT:
-                self.failures.append(f)
+            self.fail(f)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -80,6 +86,11 @@ def _bag_str(mask: int) -> str:
     return "{" + ",".join(str(v) for v in range(64) if (mask >> v) & 1) + "}"
 
 
+def _pair_bag(v: int, i: int, j: int) -> str:
+    """The bag at [i, j] of a without-v view from :func:`subset_pairs`."""
+    return _bag_str((i << (v + 1)) | j)
+
+
 # ---------------------------------------------------------------------------
 # Graph sets
 # ---------------------------------------------------------------------------
@@ -88,18 +99,10 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """All labeled connected simple graphs on vertices 0..n-1."""
     pairs = list(itertools.combinations(range(n), 2))
     for picks in range(1 << len(pairs)):
-        adj = [0] * n
-        edges = []
-        m = picks
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            edges.append((u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        if _is_connected(n, adj):
-            yield Graph(n, edges, label=f"enum:{n}:{picks}")
+        edges = [pair for i, pair in enumerate(pairs) if (picks >> i) & 1]
+        g = Graph(n, edges, allow_disconnected=True, label=f"enum:{n}:{picks}")
+        if g.connected:
+            yield g
 
 
 def random_connected_graphs(ns: Iterable[int], count: int, seed: int) -> list[Graph]:
@@ -139,9 +142,8 @@ def graph_set(
 def _sos_max_inplace(flat: np.ndarray, bits: int) -> None:
     """In place: flat[S] becomes max over subsets T of S of flat[T]."""
     for u in range(bits):
-        width = 1 << u
-        view = flat.reshape(-1, 2, width)
-        np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+        without, with_u = subset_pairs(flat, u)
+        np.maximum(with_u, without, out=with_u)
 
 
 def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[CheckResult]:
@@ -161,47 +163,39 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     B = masks[None, :]
     lhs = c[A | B]
     rhs = c[A] + c[B]
-    bad = np.argwhere(lhs > rhs)
     super_add.checked = size * size
-    for i, j in bad[:MAX_FAILURES_KEPT]:
-        super_add.fail(f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(int(i))} B={_bag_str(int(j))}")
-    bad2 = np.argwhere(rhs > c[A] + delta * pc[B])
-    for i, j in bad2[:MAX_FAILURES_KEPT]:
-        super_add.fail(f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(int(i))} B={_bag_str(int(j))}")
+    super_add.flag(lhs > rhs, lambda i, j: f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(i)} B={_bag_str(j)}")
+    super_add.flag(rhs > c[A] + delta * pc[B], lambda i, j: f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(i)} B={_bag_str(j)}")
 
     submod = CheckResult("cut_submodularity")
     submod.checked = n * (size // 2)
     for v in range(n):
-        width = 1 << v
-        pair = c.reshape(-1, 2, width)
-        removal_gain = (pair[:, 0, :] - pair[:, 1, :]).reshape(-1).copy()  # c(A-v)-c(A) on the with-v sublattice
+        without, with_v = subset_pairs(c, v)
+        removal_gain = without - with_v  # c(A-v)-c(A) on the with-v sublattice
         transformed = removal_gain.copy()
-        _sos_max_inplace(transformed, n - 1)
-        bad = np.flatnonzero(transformed > removal_gain)
-        for j in bad[:2]:
-            j = int(j)
-            b_mask = ((j >> v) << (v + 1)) | (1 << v) | (j & (width - 1))
-            submod.fail(f"{g.label}: removal gain of v={v} not monotone at B={_bag_str(b_mask)}")
+        _sos_max_inplace(transformed.reshape(-1), n - 1)
+        submod.flag(
+            transformed > removal_gain,
+            lambda i, j: f"{g.label}: removal gain of v={v} not monotone at B={_pair_bag(v, i, j | (1 << v))}",
+            limit=2,
+        )
 
     size_bound = CheckResult("cut_size_bound")
     size_bound.checked = size
-    bad = np.flatnonzero(c > delta * np.minimum(pc, n - pc))
-    for m in bad[:MAX_FAILURES_KEPT]:
-        size_bound.fail(f"{g.label}: c={int(c[m])} exceeds min(|A|,n-|A|)*delta at A={_bag_str(int(m))}")
+    size_bound.flag(c > delta * np.minimum(pc, n - pc), lambda m: f"{g.label}: c={int(c[m])} exceeds min(|A|,n-|A|)*delta at A={_bag_str(m)}")
 
     lipschitz = CheckResult("cut_difference_lipschitz")
     lipschitz.checked = size * size
     gap = np.abs(c[A] - c[B])
     allowance = delta * pc[A ^ B]
-    bad = np.argwhere(gap > allowance)
-    for i, j in bad[:MAX_FAILURES_KEPT]:
-        lipschitz.fail(f"{g.label}: |c(A)-c(B)|={gap[i, j]} > delta*|A xor B|={allowance[i, j]} at A={_bag_str(int(i))} B={_bag_str(int(j))}")
+    lipschitz.flag(
+        gap > allowance,
+        lambda i, j: f"{g.label}: |c(A)-c(B)|={gap[i, j]} > delta*|A xor B|={allowance[i, j]} at A={_bag_str(i)} B={_bag_str(j)}",
+    )
 
     symmetry = CheckResult("cut_complement_symmetry")
     symmetry.checked = size
-    bad = np.flatnonzero(c != c[masks ^ np.uint32(size - 1)])
-    for m in bad[:MAX_FAILURES_KEPT]:
-        symmetry.fail(f"{g.label}: c(A) != c(complement) at A={_bag_str(int(m))}")
+    symmetry.flag(c != c[masks ^ np.uint32(size - 1)], lambda m: f"{g.label}: c(A) != c(complement) at A={_bag_str(m)}")
 
     return [super_add, submod, size_bound, lipschitz, symmetry]
 
@@ -239,38 +233,29 @@ def check_resilience_properties(
     monotone.checked = smooth.checked = n * (size // 2)
     consistency.checked = n * size
     for v in range(n):
-        width = 1 << v
-        gpair = gamma.reshape(-1, 2, width)
-        without, with_v = gpair[:, 0, :], gpair[:, 1, :]
-        bad = np.argwhere(without > with_v)
-        for i, j in bad[:2]:
-            a_mask = int((int(i) << (v + 1)) | int(j))
-            monotone.fail(f"{g.label}: gamma(A) > gamma(A+{v}) at A={_bag_str(a_mask)}")
-        bad = np.argwhere(with_v > without + delta)
-        for i, j in bad[:2]:
-            a_mask = int((int(i) << (v + 1)) | int(j))
-            smooth.fail(f"{g.label}: gamma(A+{v}) > gamma(A)+delta at A={_bag_str(a_mask)}")
+        without, with_v = subset_pairs(gamma, v)
+        c_without, c_with = subset_pairs(cuts, v)
+        monotone.flag(without > with_v, lambda i, j: f"{g.label}: gamma(A) > gamma(A+{v}) at A={_pair_bag(v, i, j)}", limit=2)
+        smooth.flag(with_v > without + delta, lambda i, j: f"{g.label}: gamma(A+{v}) > gamma(A)+delta at A={_pair_bag(v, i, j)}", limit=2)
         # gamma(A) <= max(c(B), gamma(B)) for the single-move neighbors B
-        cpair = cuts.reshape(-1, 2, width)
-        step_up = np.maximum(cpair[:, 1, :], gpair[:, 1, :])
-        step_down = np.maximum(cpair[:, 0, :], gpair[:, 0, :])
-        bad = np.argwhere(without > step_up)
-        for i, j in bad[:2]:
-            a_mask = int((int(i) << (v + 1)) | int(j))
-            consistency.fail(f"{g.label}: gamma(A) > max(c,gamma)(A+{v}) at A={_bag_str(a_mask)}")
-        bad = np.argwhere(with_v > step_down)
-        for i, j in bad[:2]:
-            a_mask = int((int(i) << (v + 1)) | (1 << v) | int(j))
-            consistency.fail(f"{g.label}: gamma(A) > max(c,gamma)(A-{v}) at A={_bag_str(a_mask)}")
+        consistency.flag(
+            without > np.maximum(c_with, with_v),
+            lambda i, j: f"{g.label}: gamma(A) > max(c,gamma)(A+{v}) at A={_pair_bag(v, i, j)}",
+            limit=2,
+        )
+        consistency.flag(
+            with_v > np.maximum(c_without, without),
+            lambda i, j: f"{g.label}: gamma(A) > max(c,gamma)(A-{v}) at A={_pair_bag(v, i, j | (1 << v))}",
+            limit=2,
+        )
 
     improvement_floor = CheckResult("improvement_bag_cut_floor")
     imp = improvement_mask(g, tables)
     improvement_floor.checked = int(imp.sum())
-    bad = np.flatnonzero(imp & (cuts < gamma - delta))
-    for m in bad[:MAX_FAILURES_KEPT]:
-        improvement_floor.fail(
-            f"{g.label}: improvement bag {_bag_str(int(m))} has c={int(cuts[m])} < gamma-delta={int(gamma[m]) - delta}"
-        )
+    improvement_floor.flag(
+        imp & (cuts < gamma - delta),
+        lambda m: f"{g.label}: improvement bag {_bag_str(m)} has c={int(cuts[m])} < gamma-delta={int(gamma[m]) - delta}",
+    )
 
     region = CheckResult("resilience_size_region")
     high_floor = CheckResult("high_resilience_cut_floor")
@@ -279,27 +264,17 @@ def check_resilience_properties(
         high_floor.vacuous = size
     else:
         region.checked = size
-        bad = np.flatnonzero(gamma > pc * delta)
-        for m in bad[:MAX_FAILURES_KEPT]:
-            region.fail(f"{g.label}: gamma={int(gamma[m])} > |A|*delta at A={_bag_str(int(m))}")
+        region.flag(gamma > pc * delta, lambda m: f"{g.label}: gamma={int(gamma[m])} > |A|*delta at A={_bag_str(m)}")
         below = gamma < W
         region.vacuous = int((~below).sum())
-        bad = np.flatnonzero(below & (W > (n - pc) * delta))
-        for m in bad[:MAX_FAILURES_KEPT]:
-            region.fail(f"{g.label}: W > (n-|A|)*delta with gamma<W at A={_bag_str(int(m))}")
-        bad = np.flatnonzero(below & (gamma < pc * delta - delta_e))
-        for m in bad[:MAX_FAILURES_KEPT]:
-            region.fail(f"{g.label}: gamma={int(gamma[m])} < delta*(|A|-E) at A={_bag_str(int(m))}")
+        region.flag(below & (W > (n - pc) * delta), lambda m: f"{g.label}: W > (n-|A|)*delta with gamma<W at A={_bag_str(m)}")
+        region.flag(below & (gamma < pc * delta - delta_e), lambda m: f"{g.label}: gamma={int(gamma[m])} < delta*(|A|-E) at A={_bag_str(m)}")
 
         sel = below & (gamma > 0)
         high_floor.checked = int(sel.sum())
         high_floor.vacuous = size - high_floor.checked
         floor = gamma - 2 * delta_e - 4 * delta  # gamma - 2(E+2)delta
-        bad = np.flatnonzero(sel & (cuts < floor))
-        for m in bad[:MAX_FAILURES_KEPT]:
-            high_floor.fail(
-                f"{g.label}: c={int(cuts[m])} < gamma-2(E+2)delta={int(floor[m])} at A={_bag_str(int(m))}"
-            )
+        high_floor.flag(sel & (cuts < floor), lambda m: f"{g.label}: c={int(cuts[m])} < gamma-2(E+2)delta={int(floor[m])} at A={_bag_str(m)}")
 
     return [monotone, smooth, consistency, improvement_floor, region, high_floor]
 
@@ -320,11 +295,7 @@ def check_oracle_agreement(g: Graph, tables: Optional[ResilienceTable] = None) -
 
     agree = CheckResult("algorithm_matches_oracle")
     agree.checked = len(oracle)
-    bad = np.flatnonzero(oracle != tables.gamma)
-    for m in bad[:MAX_FAILURES_KEPT]:
-        agree.fail(
-            f"{g.label}: algorithm gamma={int(tables.gamma[m])} oracle={int(oracle[m])} at A={_bag_str(int(m))}"
-        )
+    agree.flag(oracle != tables.gamma, lambda m: f"{g.label}: algorithm gamma={int(tables.gamma[m])} oracle={int(oracle[m])} at A={_bag_str(m)}")
     return [fullset, agree]
 
 
@@ -385,9 +356,9 @@ def check_up_crossing_mc(seed: int = 42, runs: int = 10**5, max_level: int = 10)
     return res
 
 
-def check_walk_bound_below_exact(levels: Iterable[int] = range(2, 21)) -> list[CheckResult]:
+def check_walk_bound_below_exact() -> list[CheckResult]:
     """The closed-form reflecting-walk bound never exceeds the exact hitting
-    time, over a rate grid and all ceilings in ``levels``; also checks the
+    time, over a rate grid and the ceilings 2..20; also checks the
     regeneration floor p/((1-p)lam) against the exact value."""
     res = CheckResult("walk_bound_below_exact")
     regen = CheckResult("regeneration_floor")
@@ -395,7 +366,7 @@ def check_walk_bound_below_exact(levels: Iterable[int] = range(2, 21)) -> list[C
     mus = [Fraction(3, 2), Fraction(2), Fraction(4)]
     for lam in lams:
         for mu in mus:
-            for L in levels:
+            for L in range(2, 21):
                 w = WalkParams(lam=lam, mu=mu, L=L, M=L - 1)
                 bound = random_walk_lower_bound(w)
                 exact = exact_hitting_time([mu] * (L - 1), [lam] * L, L - 1)
@@ -477,7 +448,6 @@ def run_scope(
     seed: int = 42,
     mc_runs: int = 20_000,
     mc_level: int = 10,
-    certificate_bags: int = 8,
     progress: Optional[Callable[[str], None]] = None,
 ) -> VerifyReport:
     """Run one verification scope and aggregate results across the graph set.
@@ -515,7 +485,7 @@ def run_scope(
                 if size <= 16:
                     bags = range(1, size)
                 else:
-                    bags = [int(x) for x in rng.integers(1, size, size=certificate_bags)]
+                    bags = [int(x) for x in rng.integers(1, size, size=CERTIFICATE_BAGS)]
                 absorb([check_crusade_certificates(g, tables, bags)])
                 absorb([check_single_bag_route(g, tables, bags)])
             if scope in ("oracle", "lemmas", "all"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,21 @@ class TestGraphConstruction:
         assert g1 == g2
         assert g1.connected
 
+    def test_random_generators_frozen(self):
+        # (label, edges) of seeded random graphs over a grid of sizes and
+        # parameters, recorded before generate's loops were rebuilt on Graph
+        digest = hashlib.sha256()
+        for seed in range(40):
+            for n in (4, 8, 12, 20):
+                for p in (0.2, 0.4, 0.7):
+                    g = generate("erdos_renyi", n, p=p, seed=seed)
+                    digest.update(repr((g.label, g.edges)).encode())
+                for d in (2, 3, 4):
+                    if d < n:
+                        g = generate("random_regular", n, d=d, seed=seed)
+                        digest.update(repr((g.label, g.edges)).encode())
+        assert digest.hexdigest() == "23ccc8f41260ef8e3c5b77d4ffa8630c4f5b7fcc5373ac357c52f7aa1ccd1f4e"
+
     def test_random_regular_degrees(self):
         g = generate("random_regular", 8, d=3, seed=9)
         assert all(d == 3 for d in g.deg)
@@ -125,7 +142,7 @@ class TestGraphConstruction:
         from epigraph import GenerationError
 
         with pytest.raises(GenerationError):
-            generate("erdos_renyi", 12, p=0.01, seed=3, retries=3)
+            generate("erdos_renyi", 12, p=0.01, seed=3)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -220,6 +237,8 @@ class TestNodeSet:
             NodeSet(0b1000, n=3)
         with pytest.raises(ValueError):
             NodeSet([3], n=3)
+        with pytest.raises(ValueError):
+            NodeSet(NodeSet([0], n=4), n=3)
 
     def test_iteration_ascending(self):
         assert list(NodeSet([5, 1, 3], n=6)) == [1, 3, 5]

@@ -1,9 +1,10 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from epigraph import SizeCapError, cut_table, generate, resilience_table
+from epigraph import ResilienceTable, SizeCapError, cut_table, generate, resilience_table
 from epigraph.verify import (
     check_bound_walk_identity,
     check_crusade_certificates,
@@ -18,6 +19,17 @@ from epigraph.verify import (
     random_connected_graphs,
     run_scope,
 )
+
+FAULT_GRAPHS = [
+    generate("path", 5),
+    generate("complete", 5),
+    generate("grid", 6),
+    generate("star", 6),
+    generate("erdos_renyi", 7, p=0.4, seed=3),
+    generate("random_regular", 8, d=3, seed=2),
+]
+# recorded before the checks' report loops were folded into CheckResult.flag
+FROZEN_FAULT_LINES_SHA256 = "54e3476bffc0544179492c50a9558f25280b6458ae61449a80746e6f6d8c58f3"
 
 # labeled connected simple graphs on n vertices
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}
@@ -84,6 +96,41 @@ class TestFaultInjection:
         failed = [r for r in check_cut_properties(g, cuts=bad) if not r.passed]
         assert failed
         assert any(r.failures for r in failed)
+
+    def test_counterexample_lines_frozen(self):
+        # every check line, counterexamples included, on seeded corruptions of
+        # the cut, gamma and monotone tables, per graph and merged across graphs
+        lines, merged = [], {}
+        for k, g in enumerate(FAULT_GRAPHS):
+            t = resilience_table(g)
+            full = g.full_mask
+            for trial in range(3):
+                rng = np.random.default_rng((k, trial))
+                picks = rng.integers(0, full + 1, size=2 + 3 * trial)
+                bad_cut = t.cut.copy()
+                bad_cut[picks] += rng.integers(-3, 4, size=len(picks)).astype(np.int16)
+                bad_cut[picks[0]] = -64  # under every cut floor
+                bad_gamma = t.gamma.copy()
+                bad_gamma[picks] += rng.integers(-2, 3, size=len(picks)).astype(np.int16)
+                bad_gamma[picks[-1]] += 3 * g.max_degree  # over the size region
+                bad_mono = t.g.copy()
+                bad_mono[full] += 1
+                results = [
+                    *check_cut_properties(g, cuts=bad_cut),
+                    *check_resilience_properties(g, t, cut_override=bad_cut),
+                    *check_resilience_properties(g, ResilienceTable(g, t.cut, t.g, bad_gamma)),
+                    *check_oracle_agreement(g, ResilienceTable(g, t.cut, bad_mono, bad_gamma)),
+                ]
+                for r in results:
+                    lines.append(r.line())
+                    if r.name in merged:
+                        merged[r.name].merge(r)
+                    else:
+                        merged[r.name] = r
+        lines += [r.line() for r in merged.values()]
+        assert sum(ln.count("counterexample") for ln in lines) > 500
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == FROZEN_FAULT_LINES_SHA256
 
     def test_cut_pair_checks_refused_over_budget(self):
         # 4^13 bag pairs at 24 B each: refused before the pair arrays exist
