@@ -118,13 +118,23 @@ def walk_up_crossing_mc(w: WalkParams, runs: int, seed: int) -> tuple[float, flo
         raise ValueError("runs must be >= 1")
     p_up = float(w.mu / (w.lam + w.mu))
     rng = Generator(Philox(SeedSequence((int(seed), 0x5A1C))))
-    state = np.full(runs, w.M, dtype=np.int32)
+    # a live state stays in -1..L+1 (M may be 0 or L); random(out=u[:k])
+    # draws the same doubles as random(k), so the buffers change no path
+    state = np.full(runs, w.M, dtype=np.int8 if w.L < 127 else np.int32)
+    u = np.empty(runs)
+    up = np.empty(runs, dtype=bool)
     hits = 0
-    while state.size:
-        steps = np.where(rng.random(state.size) < p_up, 1, -1).astype(np.int32)
-        state += steps
-        hits += int((state == w.L).sum())
-        state = state[(state > 0) & (state < w.L)]
+    k = runs
+    while k:
+        live = state[:k]
+        step = np.less(rng.random(out=u[:k]), p_up, out=up[:k]).view(np.int8)
+        live += step
+        live += step
+        live -= 1
+        hits += int(np.count_nonzero(live == w.L))
+        kept = live[(live > 0) & (live < w.L)]
+        k = len(kept)
+        state[:k] = kept
     phat = hits / runs
     se = math.sqrt(max(phat * (1 - phat), 1e-300) / runs)
     return phat, se

@@ -22,7 +22,11 @@ The unrestricted bottleneck searches over the full 2^n crusade graph
 (:func:`oracle_resilience`, :func:`oracle_resilience_table`) exist purely
 to falsify that structure at small n if it were misread. They deliberately
 keep their own enumeration of steps: sharing the kernel would let one bug
-cancel out in the comparison.
+cancel out in the comparison. The forward search is pure Python, capped at
+n <= 10 for its compute time. The table oracle settles whole distance
+buckets at once (Dial's form of Dijkstra) over a step graph that depends
+only on n and is cached per n; the table budget charges it 24 B per step,
+so it runs to n = 13.
 """
 
 from __future__ import annotations
@@ -323,7 +327,7 @@ def optimal_crusade(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> 
             m ^= low
         cur = choice[1]
         bags.append(cur)
-    crusade = Crusade.from_bags(g, [NodeSet(b, g.n) for b in bags])
+    crusade = Crusade.from_bags(g, bags)
     assert crusade.width == int(width.flat[first])
     if tables.gamma is not None:
         assert crusade.width == int(tables.gamma[mask])
@@ -378,42 +382,91 @@ def oracle_resilience(g: Graph, bag, *, max_n: int = 10) -> int:
     raise AssertionError("empty bag unreachable")  # cannot happen: removals always allowed
 
 
-def oracle_resilience_table(g: Graph, *, max_n: int = 12, cuts: Optional[np.ndarray] = None) -> np.ndarray:
+def _low_bits(masks: np.ndarray, count: int):
+    """Yield the lowest set bit of each mask as a column, then the next,
+    ``count`` times."""
+    rest = masks.copy()
+    for _ in range(count):
+        low = rest & -rest
+        rest ^= low
+        yield low[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _step_graph(n: int) -> tuple:
+    """Every backward step of the crusade graph on n vertices, for the oracle.
+
+    Bags are numbered by popcount, then mask: ``order`` maps a number to its
+    mask and layer k is the numbers bounds[k]:bounds[k + 1]. In CSR form
+    with one row width per layer, row i of ``preds[k]`` lists, by number,
+    the predecessors of head bag bounds[k] + i: every a with |a \\ b| <= 1,
+    that is each subset s of b, then each s plus one outside vertex;
+    ``width`` is the row width of each number. The subsets come from
+    doubling over each head's vertices (over all heads, the ternary doubling
+    of the pairs a subset of b: a vertex is out of b, in b only, or in
+    both), and each outside vertex adds one more copy with its bit set.
+    Rows are built in head order, so no edge is sorted, and the popcounts
+    also come from doubling: the oracle shares no code with the gamma
+    kernel.
+    """
+    pc = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        pc = np.concatenate((pc, pc + 1))
+    order = np.argsort(pc, kind="stable")
+    number = np.empty(1 << n, dtype=np.int32)
+    number[order] = np.arange(1 << n)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=n + 1))))
+    preds = []
+    for k in range(n + 1):
+        heads = order[bounds[k] : bounds[k + 1]]
+        block = np.empty((len(heads), n + 1 - k, 1 << k), dtype=np.int32)
+        block[:, 0, 0] = 0
+        for j, low in enumerate(_low_bits(heads, k)):
+            np.bitwise_or(block[:, 0, : 1 << j], low, out=block[:, 0, 1 << j : 2 << j])
+        for j, low in enumerate(_low_bits(heads ^ ((1 << n) - 1), n - k)):
+            np.bitwise_or(block[:, 0], low, out=block[:, j + 1])
+        preds.append(number[block.reshape(len(heads), -1)])
+    width = np.repeat([p.shape[1] for p in preds], np.diff(bounds))
+    return order, bounds, preds, width
+
+
+def oracle_resilience_table(g: Graph, *, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     """gamma for every bag by one backward bottleneck sweep from the empty bag.
 
     Same crusade graph as :func:`oracle_resilience`, relaxed in reverse:
-    popping B settles min-over-crusades width from B, and every predecessor A
-    (a subset of B plus at most one outside vertex) is offered
-    max(cut(B), dist(B)). Edge cost depends only on the head bag, so Dijkstra
-    order is valid. ``max_n`` caps compute time (~3^n: 0.4 s at n=12), not memory.
+    settling B at dist(B) offers every predecessor A (a subset of B plus at
+    most one outside vertex) max(dist(B), cut(B)). The offer depends only on
+    the head bag and never falls below dist(B), and costs are small
+    integers, so this is Dial's bucket form of Dijkstra: each round takes
+    the least open distance t and settles every open bag at t at once, with
+    one row gather per popcount layer from the step graph
+    (:func:`_step_graph`, cached per n) and one ``np.minimum.at``. The step
+    graph has 3^(n-1) (n + 3) edges, charged to the table budget at 24 B
+    each before anything is built, so n = 13 runs and n = 14 is refused.
+    Under tracemalloc the peak is 7-9 B per edge (n = 10..13, the step
+    graph's build included): 4 B for the cached graph, the rest a round's
+    gathered predecessors and offers.
     """
-    if g.n > max_n:
-        raise SizeCapError(f"oracle table for n={g.n} exceeds cap {max_n}")
     n = g.n
-    size = 1 << n
+    _check_budget((n + 3) * 3 ** (n - 1), f"oracle step graph for n={n}")
     cuts = cut_table(g) if cuts is None else cuts
-    dist = [None] * size
+    order, bounds, preds, width = _step_graph(n)
+    cost = cuts[order]  # of stepping onto each bag, by number
+    dist = np.full(1 << n, INF16, dtype=np.int16)
     dist[0] = 0
-    heap = [(0, 0)]
-    settled = [False] * size
-    while heap:
-        d, b = heapq.heappop(heap)
-        if settled[b]:
-            continue
-        settled[b] = True
-        offer = max(d, int(cuts[b]))
-        inside = [v for v in range(n) if (b >> v) & 1]
-        outside_bits = [1 << v for v in range(n) if not (b >> v) & 1]
-        # subsets of b, each optionally extended by one outside vertex
-        subsets = [0]
-        for v in inside:
-            bit = 1 << v
-            subsets.extend(s | bit for s in list(subsets))
-        for s in subsets:
-            for extra in [0] + outside_bits:
-                a = s | extra
-                if dist[a] is None or offer < dist[a]:
-                    dist[a] = offer
-                    heapq.heappush(heap, (offer, a))
-    out = np.array(dist, dtype=np.int16)
-    return out
+    open_ = np.ones(1 << n, dtype=bool)
+    while open_.any():
+        t = dist[open_].min()
+        heads = np.flatnonzero(open_ & (dist == t))  # ascending, so grouped by layer
+        open_[heads] = False
+        split = np.searchsorted(heads, bounds).tolist()
+        tails = [
+            preds[k][heads[a:b] - bounds[k]].ravel()
+            for k, (a, b) in enumerate(zip(split, split[1:]))
+            if a < b
+        ]
+        np.minimum.at(dist, np.concatenate(tails), np.repeat(np.maximum(cost[heads], t), width[heads]))
+    assert (dist < INF16).all(), "a bag never reached the empty bag"
+    gamma = np.empty_like(dist)
+    gamma[order] = dist
+    return gamma

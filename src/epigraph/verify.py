@@ -62,6 +62,8 @@ class CheckResult:
     def flag(self, hits: np.ndarray, describe: Callable[..., str], limit: int = MAX_FAILURES_KEPT) -> None:
         """Fail with ``describe(*index)`` for each of the first ``limit``
         True entries of ``hits``, in index order."""
+        if not hits.any():  # the usual case, and ~100x cheaper than nonzero()
+            return
         for index in zip(*(ix[:limit].tolist() for ix in hits.nonzero())):
             self.fail(describe(*index))
 

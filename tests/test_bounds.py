@@ -65,6 +65,26 @@ class TestUpProbability:
         phat, se = walk_up_crossing_mc(w, 40_000, seed=3)
         assert abs(phat - float(p)) <= 3 * se
 
+    @pytest.mark.parametrize(
+        "lam, mu, L, M, runs, seed, expected",
+        [
+            # cells 0, 12, 57, 81, 102 and 126 of verify's walk suite (seed 42 + cell)
+            (1, 2, 2, 1, 20_000, 42, (0.66605, 0.0033348717928879967)),
+            (1, 2, 6, 3, 20_000, 54, (0.8933, 0.002183061039000055)),
+            (1, 1, 6, 3, 20_000, 99, (0.5008, 0.0035355293804464416)),
+            (1, 1, 10, 1, 20_000, 123, (0.09895, 0.0021113845871844382)),
+            (2, 1, 6, 3, 20_000, 144, (0.10745, 0.0021898001906566727)),
+            (2, 1, 10, 1, 20_000, 168, (0.0009, 0.00021203655345246488)),
+            # starts on a boundary, and a ceiling above int8
+            (1, 3, 5, 5, 1000, 7, (0.241, 0.013524755080961725)),
+            (1, 3, 5, 0, 1000, 7, (0.518, 0.01580113919943749)),
+            (1, 1, 130, 65, 300, 11, (0.47333333333333333, 0.028826428203351226)),
+        ],
+    )
+    def test_monte_carlo_frozen(self, lam, mu, L, M, runs, seed, expected):
+        # exact (phat, se): any change to which double drives which step shows here
+        assert walk_up_crossing_mc(WalkParams(lam=lam, mu=mu, L=L, M=M), runs, seed) == expected
+
 
 class TestWalkLowerBound:
     def test_frozen_example(self):

@@ -24,6 +24,7 @@ from epigraph import (
     resilience,
     resilience_table,
 )
+from epigraph.crusade import _step_graph
 from epigraph.graph import TABLE_BUDGET_BYTES, Graph, NodeSet, _check_budget
 from epigraph.verify import enumerate_connected_graphs
 
@@ -253,10 +254,41 @@ class TestOracle:
             assert np.array_equal(oracle, t.gamma)
 
     def test_forward_oracle_matches_table_oracle(self):
-        g = generate("grid", 6)
-        full = oracle_resilience_table(g)
-        for mask in (0, 1, 0b11, 0b101010, g.full_mask):
-            assert oracle_resilience(g, mask) == int(full[mask])
+        # the pure-Python forward search from each bag against the bucketed
+        # backward sweep, on every bag
+        graphs = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+        graphs.append(generate("grid", 6))
+        graphs += [generate("erdos_renyi", 7, p=0.4, seed=s) for s in (1, 2, 3)]
+        for g in graphs:
+            full = oracle_resilience_table(g)
+            assert full.dtype == np.int16
+            assert [oracle_resilience(g, m) for m in range(1 << g.n)] == full.tolist(), g.label
+
+    def test_oracle_table_refused_by_budget(self):
+        # 3^13 * 17 = 27.1M steps at 24 B each: refused before anything is built
+        g = generate("path", 14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=f"oracle step graph for n=14 needs ~{24 * 17 * 3**13} bytes"):
+                oracle_resilience_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oracle_table_peak_within_budget(self):
+        # the step graph and a round's temporaries stay within the 24 B per
+        # step that _check_budget charges, the cached step graph included
+        g = generate("erdos_renyi", 12, p=0.4, seed=1)
+        cuts = cut_table(g)
+        _step_graph.cache_clear()
+        tracemalloc.start()
+        try:
+            oracle_resilience_table(g, cuts=cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 15 * 3**11
 
     def test_oracle_exhaustive_n4(self):
         for g in enumerate_connected_graphs(4):
