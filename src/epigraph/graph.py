@@ -48,8 +48,9 @@ class GenerationError(RuntimeError):
 
 def _check_budget(entries: int, what: str) -> None:
     """Refuse, before allocating, work over ``entries`` subsets (or subset
-    pairs) at 24 B each. Under tracemalloc a gamma table peaks at ~10 B per
-    subset (9.6 at n = 20, 10.4 at n = 16), in the monotone table."""
+    pairs) at 24 B each. Under tracemalloc a gamma table peaks at 9.6 B per
+    subset at n = 20, in the monotone table, and at 12.8-13.2 B at n = 16,
+    where the gamma sweep's tile buffers hold two whole tables."""
     nbytes = 24 * entries
     if nbytes > TABLE_BUDGET_BYTES:
         raise SizeCapError(f"{what} needs ~{nbytes} bytes, over the {TABLE_BUDGET_BYTES}-byte table budget")

@@ -157,7 +157,7 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     size = 1 << n
     delta = g.max_degree
     c = (cut_table(g) if cuts is None else cuts).astype(np.int32)
-    masks = np.arange(size, dtype=np.uint32)
+    masks = np.arange(size)  # intp, so no 4^n index is cast on a gather
     pc = subset_sums([1] * n, np.int32)
 
     super_add = CheckResult("cut_superadditivity")
@@ -168,6 +168,7 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     super_add.checked = size * size
     super_add.flag(lhs > rhs, lambda i, j: f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(i)} B={_bag_str(j)}")
     super_add.flag(rhs > c[A] + delta * pc[B], lambda i, j: f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(i)} B={_bag_str(j)}")
+    del lhs, rhs  # two 4^n arrays fewer alive when A ^ B's intp index is built
 
     submod = CheckResult("cut_submodularity")
     submod.checked = n * (size // 2)
@@ -197,7 +198,7 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
 
     symmetry = CheckResult("cut_complement_symmetry")
     symmetry.checked = size
-    symmetry.flag(c != c[masks ^ np.uint32(size - 1)], lambda m: f"{g.label}: c(A) != c(complement) at A={_bag_str(m)}")
+    symmetry.flag(c != c[masks ^ (size - 1)], lambda m: f"{g.label}: c(A) != c(complement) at A={_bag_str(m)}")
 
     return [super_add, submod, size_bound, lipschitz, symmetry]
 
@@ -392,14 +393,15 @@ def check_bound_walk_identity(seed: int = 42, samples: int = 100) -> CheckResult
     while produced < samples:
         delta = int(rng.integers(1, 7))
         L = int(rng.integers(2, 13))
-        gamma0 = Fraction(3 * delta * L)
-        e = 2 + Fraction(int(rng.integers(0, 22)), 7)
-        r = Fraction(int(rng.integers(1, 6)))
-        if gamma0 - (9 * e + 12) * delta <= 3 * r:
+        k = int(rng.integers(0, 22))
+        r = int(rng.integers(1, 6))
+        # gamma0 - (9E + 12) delta <= 3r with gamma0 = 3 delta L and E = 2 + k/7, times 7
+        if 21 * delta * L - (210 + 9 * k) * delta <= 21 * r:
             continue
         produced += 1
         res.checked += 1
-        b = BoundInputs(gamma0=gamma0, delta=delta, E=e, r=r)
+        e = 2 + Fraction(k, 7)
+        b = BoundInputs(gamma0=Fraction(3 * delta * L), delta=delta, E=e, r=Fraction(r))
         closed = extinction_lower_bound(b)
         walk = bound_from_walk(b)
         if closed.bound != walk:

@@ -24,8 +24,9 @@ from epigraph import (
     resilience,
     resilience_table,
 )
-from epigraph.crusade import _step_graph
-from epigraph.graph import TABLE_BUDGET_BYTES, Graph, NodeSet, _check_budget
+from epigraph import crusade
+from epigraph.crusade import _step_graph, improvement_mask
+from epigraph.graph import TABLE_BUDGET_BYTES, Graph, NodeSet, _check_budget, subset_pairs, subset_sums
 from epigraph.verify import enumerate_connected_graphs
 
 
@@ -154,10 +155,40 @@ FROZEN_N20_HASHES = {
     ),
 }
 
+# sha256 of improvement_mask's bytes for the same n=16 and n=20 graphs,
+# recorded before its sweep was blocked
+FROZEN_MASK_HASHES = {
+    (16, "erdos_renyi"): "a95ff2e3615ea3d9f3426607a061099163811b5cc49a8fb15bedc3ab41562d09",
+    (16, "random_regular"): "08f43ffe270811004ba6de9164d508cd4e74a1fd8f39d6a0bab2c84f4c876969",
+    (16, "grid"): "5a59f2a888de2797c044084f50f50d3b5d70ebf158878cdfd1b71aadb999f6b6",
+    (20, "erdos_renyi"): "96734dbd66cb9032ceea743961498d637fbd87fab80d60dc3b880f790a466145",
+    (20, "grid"): "753f460072908b912d1ff9a4202c2471b862a76131192b2bf68545c95a8d297f",
+}
+
 
 def _table_hashes(kind, n):
     t = resilience_table(generate(kind, n, **N16_GRAPHS[kind]))
     return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.cut, t.g, t.gamma))
+
+
+def plain_sweeps(cuts, mono):
+    """gamma and the improvement mask by one flat pass per vertex, in vertex
+    order: the sweeps as written before they were blocked."""
+    n = len(cuts).bit_length() - 1
+    best = np.maximum(cuts, mono)
+    for v in range(n):
+        without, with_v = subset_pairs(best, v)
+        np.minimum(without, with_v, out=without)
+    gamma = best.copy()
+    for v in range(n):
+        with_v = subset_pairs(gamma, v)[1]
+        np.minimum(with_v, subset_pairs(best, v)[0], out=with_v)
+    member = np.zeros(len(gamma), dtype=bool)
+    for v in range(n):
+        without, with_v = subset_pairs(gamma, v)
+        member_with_v = subset_pairs(member, v)[1]
+        member_with_v |= without < with_v
+    return gamma, member
 
 
 class TestTablesN16:
@@ -168,6 +199,22 @@ class TestTablesN16:
     @pytest.mark.parametrize("kind", sorted(FROZEN_N20_HASHES))
     def test_table_bytes_frozen_n20(self, kind):
         assert _table_hashes(kind, 20) == FROZEN_N20_HASHES[kind]
+
+    @pytest.mark.parametrize("n,kind", sorted(FROZEN_MASK_HASHES))
+    def test_improvement_mask_frozen(self, n, kind):
+        g = generate(kind, n, **N16_GRAPHS[kind])
+        member = improvement_mask(g, resilience_table(g))
+        assert hashlib.sha256(member.tobytes()).hexdigest() == FROZEN_MASK_HASHES[(n, kind)]
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_blocked_sweeps_match_plain(self, n):
+        # every n: no flat vertex (n <= 6), one tile (n <= 14), one chunk (n <= 16), 64 chunks (n = 22)
+        graphs = [Graph(1, [])] if n == 1 else [generate("erdos_renyi", n, p=0.4, seed=n), generate("grid", n)]
+        for g in graphs:
+            t = resilience_table(g)
+            gamma, member = plain_sweeps(t.cut, t.g)
+            assert t.gamma.dtype == np.int16 and np.array_equal(t.gamma, gamma)
+            assert np.array_equal(improvement_mask(g, t), member)
 
     def test_peak_within_budget_estimate(self):
         # _check_budget charges 24 B per subset; the tables must not need more,
@@ -429,13 +476,32 @@ class TestWidthOp:
         assert c.serialize() == "[0,1,2]\n[1,2]\n[2]\n[]\n"
 
 
+def csv_by_rows(t):
+    """The table CSV formatted one row at a time, as before the blocked writer."""
+    pc = subset_sums([1] * t.graph.n, np.int8)
+    rows = ["bitmask,cardinality,cut,g,gamma"]
+    for m in range(len(t.cut)):
+        rows.append(f"{m},{int(pc[m])},{int(t.cut[m])},{int(t.g[m])},{int(t.gamma[m])}")
+    return "\n".join(rows) + "\n"
+
+
 class TestCsvExport:
     def test_csv_refused_over_budget(self):
-        # the row strings of an n=23 table would need ~1 GB; refused up front
-        g = generate("path", 23)
+        # the rows of an n=24 table would need ~0.8 GB; refused up front
+        g = generate("path", 24)
         t = ResilienceTable(graph=g, cut=np.zeros(1, np.int16), g=np.zeros(1, np.int16), gamma=np.zeros(1, np.int16))
-        with pytest.raises(SizeCapError, match="table CSV for n=23 needs"):
+        with pytest.raises(SizeCapError, match="table CSV for n=24 needs"):
             t.to_csv()
+
+    @pytest.mark.parametrize("block", [crusade.CSV_BLOCK, 100])
+    def test_csv_matches_row_loop(self, block, monkeypatch):
+        # a block of 100 rows splits every table above n = 6, the last block short
+        monkeypatch.setattr(crusade, "CSV_BLOCK", block)
+        graphs = (Graph(1, []), generate("path", 2), generate("complete", 5), generate("grid", 9),
+                  generate("erdos_renyi", 12, p=0.4, seed=2))
+        for g in graphs:
+            t = resilience_table(g)
+            assert t.to_csv() == csv_by_rows(t)
 
     def test_header_and_rows(self):
         g = generate("path", 3)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epigraph import ResilienceTable, SizeCapError, cut_table, generate, resilience_table
+from epigraph import ResilienceTable, SizeCapError, cut_table, generate, resilience_table, verify
 from epigraph.verify import (
     check_bound_walk_identity,
     check_crusade_certificates,
@@ -158,6 +158,23 @@ class TestWalkChecks:
     def test_identity_samples(self):
         res = check_bound_walk_identity(seed=5, samples=30)
         assert res.passed and res.checked == 30
+
+    def test_identity_checks_the_same_samples(self, monkeypatch):
+        # the integer rejection test must accept exactly the draws the Fraction
+        # test did; the hash was recorded with the Fraction test
+        seen = []
+        closed_form = verify.extinction_lower_bound
+
+        def record(b):
+            seen.append((b.gamma0, b.delta, b.E, b.r))
+            return closed_form(b)
+
+        monkeypatch.setattr(verify, "extinction_lower_bound", record)
+        check_bound_walk_identity(seed=5, samples=30)
+        assert len(seen) == 30
+        assert hashlib.sha256(repr(tuple(seen)).encode()).hexdigest() == (
+            "b4cb188e991bf7b3823cc14429feaf7bf58c53efb808e7fae30cbbacfb5fddb5"
+        )
 
 
 class TestRunScope:
