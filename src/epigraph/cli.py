@@ -180,7 +180,8 @@ def cmd_resilience(args) -> int:
         lines.append("crusade:")
         lines.append(crusade.optimal_crusade(g, bag, tables).serialize().rstrip("\n"))
     if cfg["table_out"]:
-        _write_text(cfg["table_out"], tables.to_csv())
+        with open(cfg["table_out"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(tables.csv_blocks())  # each block written as it is formatted
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 

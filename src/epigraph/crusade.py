@@ -38,7 +38,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class Crusade:
 
     @classmethod
     def from_bags(cls, g: Graph, bags: Sequence) -> "Crusade":
-        sets = tuple(g.nodeset(b) for b in bags)
-        if not sets:
+        masks = [_mask_from(b, g.n) for b in bags]  # each bag parsed once
+        if not masks:
             raise CrusadeStepError("a crusade needs at least one bag")
-        return cls(sets, crusade_width(g, sets))
+        return cls(tuple(NodeSet._of(m, g.n) for m in masks), _mask_width(g, masks))
 
     def __len__(self) -> int:
         return len(self.bags)
@@ -77,7 +77,11 @@ class Crusade:
 
 def crusade_width(g: Graph, bags: Sequence) -> int:
     """Max cut over bags after the first; raises on an illegal step."""
-    masks = [_mask_from(b, g.n) for b in bags]
+    return _mask_width(g, [_mask_from(b, g.n) for b in bags])
+
+
+def _mask_width(g: Graph, masks: list[int]) -> int:
+    """:func:`crusade_width` of bags already parsed to int masks."""
     for i in range(len(masks) - 1):
         dropped = (masks[i] & ~masks[i + 1]).bit_count()
         if dropped > 1:
@@ -199,23 +203,33 @@ class ResilienceTable:
 
         return slack_E(self.graph.n, self.graph.max_degree, self.W)
 
-    def gamma_of(self, bag) -> int:
+    def _need_gamma(self) -> np.ndarray:
         if self.gamma is None:
             raise ValueError("this table context has no resilience values; use resilience_table()")
-        return int(self.gamma[_mask_from(bag, self.graph.n)])
+        return self.gamma
 
-    def to_csv(self) -> str:
-        if self.gamma is None:
-            raise ValueError("this table context has no resilience values; use resilience_table()")
+    def gamma_of(self, bag) -> int:
+        return int(self._need_gamma()[_mask_from(bag, self.graph.n)])
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The table CSV as strings: the header, then one per CSV_BLOCK rows.
+
+        A writer that takes each block as it comes holds one block, not the
+        whole text (``resilience --table-out``).
+        """
         n = self.graph.n
-        _check_budget(2 << n, f"table CSV for n={n}")  # rows peak at ~40 B each
-        columns = (subset_sums([1] * n, np.int8), self.cut, self.g, self.gamma)
-        parts = ["bitmask,cardinality,cut,g,gamma\n"]
+        columns = (subset_sums([1] * n, np.int8), self.cut, self.g, self._need_gamma())
+        yield "bitmask,cardinality,cut,g,gamma\n"
         for a in range(0, 1 << n, CSV_BLOCK):  # one format call per block of rows
             masks = np.arange(a, min(a + CSV_BLOCK, 1 << n))
             block = np.stack([masks, *(col[a : a + CSV_BLOCK] for col in columns)], axis=1)
-            parts.append(("%d,%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
-        return "".join(parts)
+            yield ("%d,%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
+
+    def to_csv(self) -> str:
+        self._need_gamma()
+        n = self.graph.n
+        _check_budget(2 << n, f"table CSV for n={n}")  # the joined rows peak at ~40 B each
+        return "".join(self.csv_blocks())
 
 
 def monotone_context(g: Graph) -> ResilienceTable:
@@ -289,6 +303,16 @@ def resilience_table(g: Graph, *, max_n: Optional[int] = None) -> ResilienceTabl
     return ResilienceTable(graph=g, cut=cuts, g=mono, gamma=gamma)
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` as powers of two, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
 def _first_steps(g: Graph, mask: int, tables: ResilienceTable) -> tuple[np.ndarray, np.ndarray]:
     """Every legal first step B from bag A, with its width max(cut(B), g(B)).
 
@@ -297,8 +321,8 @@ def _first_steps(g: Graph, mask: int, tables: ResilienceTable) -> tuple[np.ndarr
     none, and each row adds every subset of A's complement in ascending
     mask order. Row-major order is therefore the certificate tie-break.
     """
-    spread = subset_sums([1 << v for v in range(g.n) if not (mask >> v) & 1], np.uint32)  # complement's subsets, ascending
-    bases = [mask ^ (1 << v) for v in range(g.n) if (mask >> v) & 1] + [mask]
+    spread = subset_sums(_bits(g.full_mask ^ mask), np.uint32)  # complement's subsets, ascending
+    bases = [mask ^ bit for bit in _bits(mask)] + [mask]
     bags = np.array(bases, dtype=np.uint32)[:, None] | spread
     return np.maximum(tables.cut[bags], tables.g[bags]), bags
 
@@ -363,15 +387,11 @@ def optimal_crusade(g: Graph, bag, tables: Optional[ResilienceTable] = None) -> 
     cur = bags[1]
     while cur:
         choice = None
-        m = cur
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
+        for low in _bits(cur):  # ascending, so ties go to the lowest id
             prev = cur ^ low
-            key = (max(int(cuts[prev]), int(mono[prev])), v)
+            key = (max(int(cuts[prev]), int(mono[prev])), low)
             if choice is None or key < choice[0]:
                 choice = (key, prev)
-            m ^= low
         cur = choice[1]
         bags.append(cur)
     crusade = Crusade.from_bags(g, bags)

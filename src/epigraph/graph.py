@@ -94,6 +94,14 @@ class NodeSet:
         raise AttributeError("NodeSet is immutable")
 
     @classmethod
+    def _of(cls, mask: int, n: int) -> "NodeSet":
+        """Wrap a mask already known to fit n vertices, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "mask", mask)
+        return s
+
+    @classmethod
     def full(cls, n: int) -> "NodeSet":
         return cls((1 << n) - 1, n)
 
@@ -130,7 +138,7 @@ class NodeSet:
         return hash((self.mask, self.n))
 
     def _wrap(self, mask: int) -> "NodeSet":
-        return NodeSet(mask, self.n)
+        return NodeSet._of(mask, self.n)
 
     def __or__(self, other) -> "NodeSet":
         return self._wrap(self.mask | _mask_from(other, self.n))
@@ -185,10 +193,10 @@ class NodeSetSequence(collections.abc.Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return NodeSetSequence(self.masks[i], self.n)
-        return NodeSet(int(self.masks[i]), self.n)
+        return NodeSet._of(int(self.masks[i]), self.n)
 
     def __iter__(self) -> Iterator[NodeSet]:
-        return (NodeSet(m, self.n) for m in self.masks.tolist())
+        return (NodeSet._of(m, self.n) for m in self.masks.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, collections.abc.Sequence) or isinstance(other, (str, bytes)):
@@ -273,7 +281,7 @@ class Graph:
 
     def nodeset(self, bag) -> NodeSet:
         """Wrap any bag representation as a NodeSet over this graph's vertices."""
-        return NodeSet(_mask_from(bag, self.n), self.n)
+        return NodeSet._of(_mask_from(bag, self.n), self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -343,14 +351,16 @@ def cut_table(g: Graph) -> np.ndarray:
 
     Built by doubling: adding v to a subset S of {0..v-1} changes the cut
     by deg(v) - 2*|N(v) & S|, so the table over {0..v} is the table over
-    {0..v-1} followed by that plus v's change. 2^n entries; refuses n > 24
-    (the budget).
+    {0..v-1} followed by that plus v's change, written into the next half
+    of one 2^n array. Refuses n > 24 (the budget).
     """
     _check_budget(1 << g.n, f"cut table for n={g.n}")
-    table = np.zeros(1, dtype=np.int16)
+    table = np.zeros(1 << g.n, dtype=np.int16)
     for v, (nbrs, deg) in enumerate(zip(g.adj, g.deg)):
-        inside = subset_sums([(nbrs >> u) & 1 for u in range(v)], np.int16)
-        table = np.concatenate((table, table + deg - 2 * inside))
+        change = subset_sums([(nbrs >> u) & 1 for u in range(v)], np.int16)
+        change *= -2
+        change += deg
+        np.add(table[: 1 << v], change, out=table[1 << v : 2 << v])
     assert int(table.max(initial=0)) < 2**15 - 1
     return table
 
@@ -366,11 +376,12 @@ def subset_pairs(table: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
 def subset_sums(weights: Sequence[int], dtype) -> np.ndarray:
     """s[m] = sum of weights[i] over the bits i of m, for every m < 2^len(weights).
 
-    Built by doubling, in ``dtype``; the caller picks one wide enough.
+    Built by doubling into one array, in ``dtype``; the caller picks one
+    wide enough.
     """
-    s = np.zeros(1, dtype=dtype)
-    for w in weights:
-        s = np.concatenate((s, s + dtype(w)))
+    s = np.zeros(1 << len(weights), dtype=dtype)
+    for k, w in enumerate(weights):
+        np.add(s[: 1 << k], dtype(w), out=s[1 << k : 2 << k])
     return s
 
 

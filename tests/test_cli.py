@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from epigraph import PolicyFault, cli
+from epigraph import PolicyFault, cli, crusade, generate, resilience_table
 
 
 def run(argv, capsys):
@@ -42,6 +42,16 @@ class TestGenAndReports:
         lines = table_path.read_text().splitlines()
         assert lines[0] == "bitmask,cardinality,cut,g,gamma"
         assert len(lines) == 9
+
+    def test_table_export_streams_the_csv_blocks(self, tmp_path, capsys, monkeypatch):
+        # blocks of 100 rows split the n=9 table into six writes, the last short
+        monkeypatch.setattr(crusade, "CSV_BLOCK", 100)
+        table_path = tmp_path / "table.csv"
+        argv = ["resilience", "--gen", "erdos_renyi:9", "--p", "0.4", "--seed", "3", "--bag", "all"]
+        code, out, err = run(argv + ["--table-out", str(table_path)], capsys)
+        assert code == 0
+        expected = resilience_table(generate("erdos_renyi", 9, p=0.4, seed=3)).to_csv()
+        assert table_path.read_bytes() == expected.encode()
 
     def test_bag_out_of_range_is_usage_error(self, capsys):
         code, out, err = run(["resilience", "--gen", "complete:4", "--bag", "0,9"], capsys)

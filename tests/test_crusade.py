@@ -27,7 +27,7 @@ from epigraph import (
 from epigraph import crusade
 from epigraph.crusade import _step_graph, improvement_mask
 from epigraph.graph import TABLE_BUDGET_BYTES, Graph, NodeSet, _check_budget, subset_pairs, subset_sums
-from epigraph.verify import enumerate_connected_graphs
+from epigraph.verify import enumerate_connected_graphs, graph_set
 
 
 def monotone_width_bruteforce(g):
@@ -353,7 +353,27 @@ class TestOracle:
             oracle_resilience(generate("path", 5), 1, max_n=4)
 
 
+# sha256 over every certificate's serialize() on the graphs and bags of
+# perfbench's exact_small workload at seed 1 (819 graphs, 6809 bags),
+# recorded before Crusade.from_bags parsed each bag once
+CERTIFICATES_SHA256 = "f1bcb9e84d5e8f2d05f963bfce8fc76b466acae8b69741c9c260e7b3f70aee2c"
+
+
 class TestOptimalCrusade:
+    def test_certificates_frozen(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 2))))
+        h = hashlib.sha256()
+        count = 0
+        for g in graph_set(5, rand_ns=(7, 8, 9, 10), rand_count=48, seed=1):
+            size = 1 << g.n
+            bags = range(1, size) if size <= 16 else [int(x) for x in rng.integers(1, size, size=8)]
+            tables = resilience_table(g)
+            for bag in bags:
+                h.update(optimal_crusade(g, bag, tables).serialize().encode())
+                count += 1
+        assert count == 6809
+        assert h.hexdigest() == CERTIFICATES_SHA256
+
     def test_path3_certificate_frozen(self):
         g = generate("path", 3)
         c = optimal_crusade(g, g.full_mask)

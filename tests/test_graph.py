@@ -59,6 +59,22 @@ class TestCut:
             assert table.dtype == np.int16
             assert table.tolist() == [cut(g, m) for m in range(1 << g.n)], g.label
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint32])
+    def test_subset_sums_match_concatenating_form(self, dtype):
+        # subset_sums fills one array; it once concatenated a new one per weight
+        rng = np.random.default_rng(11)
+        for n in range(13):
+            weightings = [[1] * n, rng.integers(0, 10, size=n).tolist()]
+            if np.dtype(dtype).itemsize >= 4:
+                weightings.append([1 << v for v in range(n)])
+            for weights in weightings:
+                want = np.zeros(1, dtype=dtype)
+                for w in weights:
+                    want = np.concatenate((want, want + dtype(w)))
+                got = subset_sums(weights, dtype)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, weights)
+
     def test_subset_sums_match_bit_count(self):
         for n in range(13):
             pc = subset_sums([1] * n, np.int8)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from epigraph import ResilienceTable, SizeCapError, cut_table, generate, resilience_table, verify
+from epigraph.graph import _check_budget, subset_pairs, subset_sums
 from epigraph.verify import (
+    MAX_FAILURES_KEPT,
+    CheckResult,
+    _bag_str,
+    _pair_bag,
+    _sos_max_inplace,
     check_bound_walk_identity,
     check_crusade_certificates,
     check_cut_properties,
@@ -142,6 +148,114 @@ class TestFaultInjection:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def reference_cut_properties(g, cuts=None):
+    """check_cut_properties as it was before the row-blocked pair checks:
+    each pair check built over all 4^n bag pairs at once."""
+    n = g.n
+    _check_budget(1 << (2 * n), f"cut pair checks for n={n}")
+    size = 1 << n
+    delta = g.max_degree
+    c = (cut_table(g) if cuts is None else cuts).astype(np.int32)
+    masks = np.arange(size)
+    pc = subset_sums([1] * n, np.int32)
+
+    super_add = CheckResult("cut_superadditivity")
+    A = masks[:, None]
+    B = masks[None, :]
+    lhs = c[A | B]
+    rhs = c[A] + c[B]
+    super_add.checked = size * size
+    super_add.flag(lhs > rhs, lambda i, j: f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(i)} B={_bag_str(j)}")
+    super_add.flag(rhs > c[A] + delta * pc[B], lambda i, j: f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(i)} B={_bag_str(j)}")
+
+    submod = CheckResult("cut_submodularity")
+    submod.checked = n * (size // 2)
+    for v in range(n):
+        without, with_v = subset_pairs(c, v)
+        removal_gain = without - with_v
+        transformed = removal_gain.copy()
+        _sos_max_inplace(transformed.reshape(-1), n - 1)
+        submod.flag(
+            transformed > removal_gain,
+            lambda i, j: f"{g.label}: removal gain of v={v} not monotone at B={_pair_bag(v, i, j | (1 << v))}",
+            limit=2,
+        )
+
+    size_bound = CheckResult("cut_size_bound")
+    size_bound.checked = size
+    size_bound.flag(c > delta * np.minimum(pc, n - pc), lambda m: f"{g.label}: c={int(c[m])} exceeds min(|A|,n-|A|)*delta at A={_bag_str(m)}")
+
+    lipschitz = CheckResult("cut_difference_lipschitz")
+    lipschitz.checked = size * size
+    gap = np.abs(c[A] - c[B])
+    allowance = delta * pc[A ^ B]
+    lipschitz.flag(
+        gap > allowance,
+        lambda i, j: f"{g.label}: |c(A)-c(B)|={gap[i, j]} > delta*|A xor B|={allowance[i, j]} at A={_bag_str(i)} B={_bag_str(j)}",
+    )
+
+    symmetry = CheckResult("cut_complement_symmetry")
+    symmetry.checked = size
+    symmetry.flag(c != c[masks ^ (size - 1)], lambda m: f"{g.label}: c(A) != c(complement) at A={_bag_str(m)}")
+
+    return [super_add, submod, size_bound, lipschitz, symmetry]
+
+
+def corrupted_cuts(g, trial):
+    """Seeded corruptions of g's cut table; trial 0 is the true table."""
+    cuts = cut_table(g)
+    if trial == 0:
+        return cuts
+    bad = cuts.copy()
+    full = g.full_mask
+    if trial == 1:
+        # superadditivity's first condition fails only at the last pair (V, V),
+        # its second at B = {0} in every row
+        bad[full] = -64
+        bad[1] = g.max_degree + 1
+        return bad
+    rng = np.random.default_rng((g.n, trial))
+    picks = rng.integers(0, full + 1, size=2 + 3 * trial)
+    bad[picks] += rng.integers(-3, 4, size=len(picks)).astype(np.int16)
+    bad[picks[0]] = -64
+    return bad
+
+
+class TestBlockedPairChecks:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_lines_match_the_unblocked_checks(self, n):
+        # every block height from one block (n <= 7) to 64 blocks (n = 11)
+        graphs = [generate("path", n), generate("star", n), generate("grid", n), generate("erdos_renyi", n, p=0.4, seed=n)]
+        counterexamples = 0
+        for g in graphs:
+            for trial in range(5):
+                cuts = corrupted_cuts(g, trial)
+                got = [r.line() for r in check_cut_properties(g, cuts=cuts)]
+                assert got == [r.line() for r in reference_cut_properties(g, cuts=cuts)], (g.label, trial)
+                counterexamples += sum(ln.count("counterexample") for ln in got)
+                if trial == 0:
+                    assert all(ln.startswith("PASS") for ln in got)
+                if trial == 1:
+                    # the first condition's one hit is reported before the second's
+                    superadd = got[0].split("\n")
+                    assert len(superadd) == 1 + MAX_FAILURES_KEPT
+                    assert f"A={_bag_str(g.full_mask)} B={_bag_str(g.full_mask)}" in superadd[1]
+                    assert all("delta*|B|" in ln for ln in superadd[2:])
+        assert counterexamples > 40 * len(graphs)
+
+    def test_peak_is_one_block(self):
+        # the 4^n pair arrays peaked at 16 MiB at n = 10
+        g = generate("erdos_renyi", 10, p=0.4, seed=1)
+        cuts = cut_table(g)
+        tracemalloc.start()
+        try:
+            check_cut_properties(g, cuts=cuts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestWalkChecks:
