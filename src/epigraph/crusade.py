@@ -18,8 +18,8 @@ its minimum and :func:`optimal_crusade` its argmin. The kernel's row order
 is the certificates' tie-break, so no sort is needed. :func:`resilience_table`
 computes the same minimum for every bag at once by two subset sweeps, one
 min per vertex each; they and :func:`improvement_mask` run on one blocked
-layout (:func:`_vertex_pairs`) that sweeps the low vertices on transposed
-tiles, not in runs of 2^v entries.
+layout (:func:`_vertex_pairs`) that, from n = 12 on, sweeps the low
+vertices on transposed tiles, not in runs of 2^v entries.
 
 The unrestricted bottleneck searches over the full 2^n crusade graph
 (:func:`oracle_resilience`, :func:`oracle_resilience_table`) exist purely
@@ -47,6 +47,7 @@ from .graph import Graph, NodeSet, NodeSetSequence, SizeCapError, _check_budget,
 INF16 = np.int16(32000)  # above any cut: n*Delta/2 <= 64*63/2 = 2016
 CSV_BLOCK = 1 << 14  # table CSV rows formatted per call
 SWEEP_LO, SWEEP_COLS, SWEEP_CHUNK = 6, 8, 16  # _vertex_pairs' layout, as bit counts
+SWEEP_TILED_FROM = 12  # _vertex_pairs sweeps every vertex flat below this n
 
 
 class CrusadeStepError(ValueError):
@@ -245,28 +246,36 @@ def _vertex_pairs(*tables: np.ndarray):
     The passes of :func:`resilience_table` and :func:`improvement_mask` are
     one min or OR per vertex, in any vertex order. A flat pass
     (:func:`subset_pairs`) runs in 2^v-entry runs, so numpy pays its
-    per-run cost 2^(n-1) times at v = 0. Vertices v >= lo = 6 are swept
-    flat. For the low ones each table is copied, 2^16 masks at a time, into
-    one reused buffer of tiles transposed to 2^lo rows (the low bits) by
-    2^8 columns (the next bits): there low vertex v is bit v + 8 and splits
-    runs of 2^(v + 8) entries. The first table's buffer is written back
-    after the chunk's last vertex; the others are only read. A chunk
-    (128 KB of int16) stays in the L2 cache through its six passes.
+    per-run cost 2^(n-1) times at v = 0. Below n = 12 every vertex is
+    swept flat; from n = 12 on, vertices v >= lo = 6 are. For the low ones
+    each table is copied, 2^16 masks at a time, into one reused buffer of
+    tiles transposed to 2^lo rows (the low bits) by 2^8 columns (the next
+    bits): there low vertex v is bit v + 8 and splits runs of 2^(v + 8)
+    entries. The first table's buffer is written back after the chunk's
+    last vertex; the others are only read. A chunk (128 KB of int16) stays
+    in the L2 cache through its six passes.
 
-    Width rule: lo = 6, tiles of 2^8 columns and chunks of 2^16 masks,
-    each capped by n (up to n = 14 the table is one tile, up to n = 16 one
-    chunk). A sweep of lo = 4..8, tiles of 2^6..2^10 columns or a whole
-    chunk and chunks of 2^14..2^17 at n = 13..22 found it fastest or
-    within ~10% (2-core Xeon). One transposed block of the whole table,
-    2^lo by 2^(n - lo), was 1.5x slower than the flat sweep at n = 22:
-    its strided copies leave the cache.
+    Width rule: flat below n = 12 (SWEEP_TILED_FROM); from there lo = 6,
+    tiles of 2^8 columns and chunks of 2^16 masks, each capped by n (up to
+    n = 14 the table is one tile, up to n = 16 one chunk). Below n = 12 the
+    tile copies cost more than the short runs save: resilience_table plus
+    improvement_mask (ER p = 0.5, seed 2, min of 5, 2-core Xeon) took 119
+    us flat against 137 tiled at n = 4 and 191-213 against 217-241 at
+    n = 7, ran even at n = 10-11, and were 10-15% slower flat at n = 12 and
+    20-25% at n = 13-14. A sweep of lo = 4..8, tiles of 2^6..2^10 columns
+    or a whole chunk and chunks of 2^14..2^17 at n = 13..22 found the tiled
+    layout fastest or within ~10%. One transposed block of the whole
+    table, 2^lo by 2^(n - lo), was 1.5x slower than the flat sweep at
+    n = 22: its strided copies leave the cache.
     """
     n = len(tables[0]).bit_length() - 1
-    lo = min(n, SWEEP_LO)
-    cols = min(n - lo, SWEEP_COLS)
-    chunk = min(n, SWEEP_CHUNK)
+    lo = SWEEP_LO if n >= SWEEP_TILED_FROM else 0
     for v in range(lo, n):
         yield [subset_pairs(t, v) for t in tables]
+    if not lo:
+        return
+    cols = min(n - lo, SWEEP_COLS)
+    chunk = min(n, SWEEP_CHUNK)
     tiles = [t.reshape(-1, 1 << (chunk - lo - cols), 1 << cols, 1 << lo).transpose(0, 1, 3, 2) for t in tables]
     bufs = [np.empty(tile.shape[1:], tile.dtype) for tile in tiles]
     for k in range(len(tiles[0])):

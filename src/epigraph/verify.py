@@ -149,28 +149,68 @@ def _sos_max_inplace(flat: np.ndarray, bits: int) -> None:
         np.maximum(with_u, without, out=with_u)
 
 
+def _pair_conditions_failing(c: np.ndarray, delta: int, dpc: np.ndarray, height: int) -> tuple[bool, bool, bool]:
+    """Whether some bag pair fails superadditivity's first condition, its
+    second, and the Lipschitz bound, for an integer table ``c`` (int32,
+    so no sum wraps) with dpc[B] = delta*|B|, without evaluating all 4^n
+    pairs of each.
+
+    - First condition, c(A|B) > c(A) + c(B): symmetric in A and B, so the
+      block of rows a..a+height-1 is compared only with the columns
+      B >= a. Every unordered pair {A, B} with A <= B lies in the block
+      that holds row A.
+    - Second condition, c(A) + c(B) > c(A) + delta*|B|: the same as
+      c(B) > delta*|B|, one compare over 2^n bags.
+    - Lipschitz bound, |c(A) - c(B)| > delta*|A xor B|: some pair fails it
+      exactly when some single flip |c(S) - c(S xor v)| > delta does. A
+      failing flip is a failing pair with |A xor B| = 1. Conversely, walk
+      from A to B flipping the k = |A xor B| vertices of A xor B one at a
+      time, S_0 = A, ..., S_k = B; by the triangle inequality
+      |c(A) - c(B)| <= sum_i |c(S_i) - c(S_(i+1))|, which is at most
+      k*delta if no flip fails. So the n*2^n flips decide it, gathered at
+      once: one pass per vertex cost ~2-3x more below n = 10 (numpy's
+      per-call cost) and about the same at n = 12.
+    """
+    n = len(c).bit_length() - 1
+    masks = np.arange(len(c))
+    superadd = any(
+        (c[masks[a : a + height, None] | masks[a:]] > c[a : a + height, None] + c[a:]).any()
+        for a in range(0, len(c), height)
+    )
+    bounded = bool((c > dpc).any())
+    flips = masks ^ (1 << np.arange(n))[:, None]  # row v: S xor v, for every S
+    lipschitz = bool((np.abs(c[flips] - c) > delta).any())
+    return superadd, bounded, lipschitz
+
+
 def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[CheckResult]:
     """Superadditivity, submodularity, size bound, set-difference Lipschitz
     bound, and complement symmetry of the cut, exhaustively over all bags
     (and bag pairs) of one graph.
 
     The three pair checks (superadditivity's two conditions and the
-    Lipschitz bound) run one block of A-rows at a time: rows a..a+R-1
-    against all 2^n columns B, so no 4^n array exists and a block's intp
-    indices (A | B, A ^ B) stay in the L2 cache. The pass only records which
-    blocks hold hits; each condition is then reported, in the order of the
-    unblocked checks (superadditivity's first condition over all blocks,
-    then its second; the Lipschitz bound after the size bound), from those
-    blocks alone. A result keeps its first MAX_FAILURES_KEPT failures, so
-    the lines are those of one row-major pass over the 4^n pairs.
+    Lipschitz bound) run in two passes. Detection
+    (:func:`_pair_conditions_failing`) decides whether each condition fails
+    anywhere: the first condition on the triangle of row blocks that its
+    symmetry leaves, the second on 2^n bags, the Lipschitz bound on single
+    flips. It is exact for any integer table, corrupted ones included. Only
+    a condition that detection flags is reported, so a table that passes
+    never runs the report pass. Each report scans the full row blocks,
+    rows a..a+R-1 against all 2^n columns B, in row order until
+    MAX_FAILURES_KEPT failures are kept, in the order of the unblocked
+    checks (superadditivity's first condition, then its second; the
+    Lipschitz bound after the size bound). So the lines, and the 4^n
+    ``checked`` counts, are those of one row-major pass over the 4^n pairs.
 
-    Width rule: R = 2^(15 - n) rows (PAIR_BLOCK_BITS = 15), capped at 2^n,
-    so a block holds 2^15 pairs (~1 MiB at peak) and n <= 7 is one block.
-    A sweep of 2^13..2^17 pairs per block at n = 6..12 (ER p = 0.4, 2-core
-    Xeon) found 2^15 fastest from n = 8 on; at n = 8 one whole block of
-    2^16 pairs ran at the unblocked speed, twice the time of two blocks.
-    The ``_check_budget`` charge of 4^n pairs now bounds the pair count,
-    that is the compute, since memory is one block: n >= 13 is refused.
+    Block rule: R = 2^(15 - n) rows (PAIR_BLOCK_BITS = 15), capped at 2^n,
+    so a block holds at most 2^15 pairs (under 1 MiB at peak) and n <= 7
+    is one block; detection's triangle is widest in its first block. A
+    sweep of 2^13..2^17 pairs per block at n = 6..12 (ER p = 0.4, 2-core
+    Xeon) found 2^15 fastest from n = 8 on when every block held all three
+    conditions. Run again on detection, 2^15 was fastest or within 3% up
+    to n = 10, and 2^16 7-8% faster at n = 11-12. The ``_check_budget``
+    charge of 4^n pairs bounds the pair count, that is the compute, since
+    memory is one block: n >= 13 is refused.
     """
     n = g.n
     _check_budget(1 << (2 * n), f"cut pair checks for n={n}")
@@ -181,32 +221,27 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     pc = subset_sums([1] * n, np.int32)
     dpc = delta * pc
     height = min(size, 1 << max(PAIR_BLOCK_BITS - n, 0))
+    failing = _pair_conditions_failing(c, delta, dpc, height)
 
-    def pair_block(a: int) -> tuple:
-        """(hits, describe) of each pair condition on rows a..a+height-1."""
+    def pair_block(a: int, k: int) -> tuple:
+        """(hits, describe) of pair condition k on rows a..a+height-1."""
         A = masks[a : a + height, None]
         cA = c[A]
-        lhs = c[A | masks]
-        rhs = cA + c
-        gap = np.abs(cA - c)
-        allowance = dpc[A ^ masks]
-        return (
-            (lhs > rhs, lambda i, j: f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(a + i)} B={_bag_str(j)}"),
-            (rhs > cA + dpc, lambda i, j: f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(a + i)} B={_bag_str(j)}"),
-            (gap > allowance, lambda i, j: f"{g.label}: |c(A)-c(B)|={gap[i, j]} > delta*|A xor B|={allowance[i, j]} at A={_bag_str(a + i)} B={_bag_str(j)}"),
-        )
-
-    hit_blocks: list[list[int]] = [[], [], []]
-    for a in range(0, size, height):
-        for blocks, (hits, _) in zip(hit_blocks, pair_block(a)):
-            if hits.any():
-                blocks.append(a)
+        if k == 0:
+            lhs, rhs = c[A | masks], cA + c
+            return lhs > rhs, lambda i, j: f"{g.label}: c(AuB)={lhs[i, j]} > c(A)+c(B)={rhs[i, j]} for A={_bag_str(a + i)} B={_bag_str(j)}"
+        if k == 1:
+            return cA + c > cA + dpc, lambda i, j: f"{g.label}: c(A)+c(B) > c(A)+delta*|B| for A={_bag_str(a + i)} B={_bag_str(j)}"
+        gap, allowance = np.abs(cA - c), dpc[A ^ masks]
+        return gap > allowance, lambda i, j: f"{g.label}: |c(A)-c(B)|={gap[i, j]} > delta*|A xor B|={allowance[i, j]} at A={_bag_str(a + i)} B={_bag_str(j)}"
 
     def report(res: CheckResult, k: int) -> None:
-        for a in hit_blocks[k]:
+        if not failing[k]:
+            return
+        for a in range(0, size, height):
             if len(res.failures) >= MAX_FAILURES_KEPT:
                 return
-            res.flag(*pair_block(a)[k])
+            res.flag(*pair_block(a, k))
 
     super_add = CheckResult("cut_superadditivity")
     super_add.checked = size * size

@@ -208,7 +208,7 @@ class TestTablesN16:
 
     @pytest.mark.parametrize("n", range(1, 23))
     def test_blocked_sweeps_match_plain(self, n):
-        # every n: no flat vertex (n <= 6), one tile (n <= 14), one chunk (n <= 16), 64 chunks (n = 22)
+        # every n: all vertices flat (n <= 11), one tile (n <= 14), one chunk (n <= 16), 64 chunks (n = 22)
         graphs = [Graph(1, [])] if n == 1 else [generate("erdos_renyi", n, p=0.4, seed=n), generate("grid", n)]
         for g in graphs:
             t = resilience_table(g)

@@ -1,6 +1,7 @@
 """Property-based checks over random graphs, bags, and short simulations."""
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from epigraph import (
@@ -9,6 +10,7 @@ from epigraph import (
     crusade_width,
     cut,
     cut_after_toggle,
+    cut_table,
     generate,
     monotone_table,
     parse_graph,
@@ -17,7 +19,8 @@ from epigraph import (
     validate_trace,
     write_graph,
 )
-from epigraph.graph import Graph
+from epigraph.graph import Graph, subset_sums
+from epigraph.verify import _pair_conditions_failing, check_cut_properties
 
 
 @st.composite
@@ -55,6 +58,46 @@ def test_cut_lipschitz_in_symmetric_difference(gm):
     g, a = gm
     b = (a * 0x85EBCA6B + 0x31) & g.full_mask
     assert abs(cut(g, a) - cut(g, b)) <= g.max_degree * bin(a ^ b).count("1")
+
+
+@st.composite
+def graph_and_int_table(draw):
+    """A graph and an int16 table over its bags: its cut table with a few
+    entries shifted and maybe every bag holding one vertex raised, or
+    random values of either sign."""
+    g = draw(connected_graphs(min_n=1))
+    if draw(st.booleans()):
+        table = cut_table(g)
+        for mask, shift in draw(st.lists(st.tuples(st.integers(0, g.full_mask), st.integers(-40, 40)), max_size=4)):
+            table[mask] += shift
+        v, step = draw(st.integers(0, g.n - 1)), draw(st.integers(0, 3 * g.max_degree))
+        table += step * ((np.arange(1 << g.n, dtype=np.int16) >> v) & 1)
+    else:
+        values = st.integers(-3 * g.max_degree, 3 * g.max_degree)
+        table = np.array(draw(st.lists(values, min_size=1 << g.n, max_size=1 << g.n)), dtype=np.int16)
+    return g, table
+
+
+@given(graph_and_int_table(), st.integers(0, 8))
+@settings(deadline=None)
+def test_pair_detection_matches_all_pairs(gt, height_bits):
+    # each fact the cut-pair detection rests on, against every ordered pair
+    g, table = gt
+    delta = g.max_degree
+    c = table.astype(np.int32)
+    pc = subset_sums([1] * g.n, np.int32)
+    dpc = delta * pc
+    A, B = np.ogrid[: 1 << g.n, : 1 << g.n]
+    first = c[A | B] > c[A] + c[B]
+    assert np.array_equal(first, first.T)
+    second = c[A] + c[B] > c[A] + dpc[B]
+    assert np.array_equal(second, np.broadcast_to(c > dpc, second.shape))
+    lipschitz = np.abs(c[A] - c[B]) > dpc[A ^ B]
+    assert lipschitz.any() == (lipschitz & (pc[A ^ B] == 1)).any()
+    height = 1 << min(height_bits, g.n)
+    assert _pair_conditions_failing(c, delta, dpc, height) == (first.any(), second.any(), lipschitz.any())
+    superadd, _, _, lipschitz_check, _ = check_cut_properties(g, cuts=table)
+    assert (superadd.passed, lipschitz_check.passed) == (not (first | second).any(), not lipschitz.any())
 
 
 @given(graph_and_mask(), st.integers(0, 7))

@@ -8,6 +8,7 @@ from epigraph import ResilienceTable, SizeCapError, cut_table, generate, resilie
 from epigraph.graph import _check_budget, subset_pairs, subset_sums
 from epigraph.verify import (
     MAX_FAILURES_KEPT,
+    PAIR_BLOCK_BITS,
     CheckResult,
     _bag_str,
     _pair_bag,
@@ -204,7 +205,8 @@ def reference_cut_properties(g, cuts=None):
 
 
 def corrupted_cuts(g, trial):
-    """Seeded corruptions of g's cut table; trial 0 is the true table."""
+    """Seeded corruptions of g's cut table; trial 0 is the true table,
+    trials 1, 5 and 6 are built to reach one corner of the checks each."""
     cuts = cut_table(g)
     if trial == 0:
         return cuts
@@ -215,6 +217,16 @@ def corrupted_cuts(g, trial):
         # its second at B = {0} in every row
         bad[full] = -64
         bad[1] = g.max_degree + 1
+        return bad
+    if trial == 5:
+        # the first condition fails only where A u B is the last row M of the
+        # first block, so every such pair lies inside the first diagonal block
+        bad[(1 << min(g.n, PAIR_BLOCK_BITS - g.n)) - 1] = 1000
+        return bad
+    if trial == 6:
+        # the Lipschitz bound fails only on flips of the last vertex: every bag
+        # holding it gains 2*delta + 1, more than any one flip can take back
+        bad += (2 * g.max_degree + 1) * (np.arange(full + 1, dtype=np.int16) >> (g.n - 1))
         return bad
     rng = np.random.default_rng((g.n, trial))
     picks = rng.integers(0, full + 1, size=2 + 3 * trial)
@@ -256,6 +268,22 @@ class TestBlockedPairChecks:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+class TestPairDetection:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_corners_match_the_unblocked_checks(self, n):
+        # hits that only the first diagonal block or the last vertex's flips see
+        for g in (generate("path", n), generate("erdos_renyi", n, p=0.4, seed=n)):
+            for trial in (5, 6):
+                cuts = corrupted_cuts(g, trial)
+                got = check_cut_properties(g, cuts=cuts)
+                assert [r.line() for r in got] == [r.line() for r in reference_cut_properties(g, cuts=cuts)], (g.label, trial)
+                first = [f for f in got[0].failures if "c(AuB)=" in f]
+                if trial == 5:
+                    assert first and all("c(AuB)=1000 " in f for f in first)
+                else:
+                    assert not first and not got[3].passed
 
 
 class TestWalkChecks:
