@@ -24,12 +24,16 @@ traces. A run of consecutive indices takes its keys from blocks derived at
 once (``_seed_keys``, numpy's SeedSequence algorithm on uint32 arrays) and
 re-keys one Philox kept with the engine's set-up, so a replication in such
 a run pays for neither the hashing nor a new generator; the streams are the
-same.
+same. ``simulate`` wraps the event loop, ``_run``, in a trace;
+``estimate_extinction`` runs ``_run`` with no trace, serially or on a
+worker pool kept across calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -109,14 +113,32 @@ def _seed_keys(prefix: tuple[int, ...], first: int, count: int):
     return (out[0::2] | out[1::2] << np.uint64(32)).T  # two little-endian words per key
 
 
-def _mix(a: int, b: int, c: int) -> int:
-    """splitmix64-style integer hash; stable across runs and platforms."""
-    x = (a * 0x9E3779B97F4A7C15 + b * 0xBF58476D1CE4E5B9 + c + 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+def _picker(seed: int):
+    """``RandomInfected``'s choice for ``seed`` as ``pick(mask, n_events, infected=None) -> vertex``.
+
+    The vertex is the i-th of mask's, ascending, for i a splitmix64-style
+    hash of (seed, n_events, mask) modulo their count: stable across runs
+    and platforms. The seed's share of the hash is summed once, here; the
+    hash then runs in pick's one frame. ``infected`` lists mask's vertices
+    ascending, if at hand.
+    """
+    base = (seed * 0x9E3779B97F4A7C15 + 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+
+    def pick(mask: int, n_events: int, infected: Optional[tuple] = None) -> int:
+        x = (base + n_events * 0xBF58476D1CE4E5B9 + mask) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        i = (x ^ (x >> 31)) % mask.bit_count()
+        if infected is not None:
+            return infected[i]
+        m = mask
+        for _ in range(i):
+            m ^= m & -m
+        return (m & -m).bit_length() - 1
+
+    return pick
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +245,20 @@ class RandomInfected(CuringPolicy):
     name = "random_infected"
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = seed
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    @seed.setter
+    def seed(self, value) -> None:
+        self._seed = int(value)
+        self._engine = None  # the engine's allocator hashes with the seed it was built for
 
     def _pick(self, mask: int, n_events: int, infected: Optional[tuple] = None) -> int:
         """The chosen vertex; ``infected`` lists mask's vertices ascending, if at hand."""
-        i = _mix(self.seed, n_events, mask) % mask.bit_count()
-        if infected is not None:
-            return infected[i]
-        m = mask
-        for _ in range(i):
-            m ^= m & -m
-        return (m & -m).bit_length() - 1
+        return _picker(self._seed)(mask, n_events, infected)
 
     def decide(self, t, infected, graph, context=None, history=None):
         n_events = len(history) if history is not None else 0
@@ -262,15 +287,15 @@ class MaxCutDrop(_OneNodePolicy):
     name = "max_cut_drop"
 
     def choose(self, mask):
-        g = self.graph
+        adj, deg = self.graph.adj, self.graph.deg
         best = None
         m = mask
         while m:
             low = m & -m
             v = low.bit_length() - 1
-            after = cut_after_toggle(g, mask, 0, v)  # offset-free: compare deltas only
-            if best is None or after < best:
-                best, choice = after, v
+            change = 2 * (adj[v] & mask).bit_count() - deg[v]  # the cut's change when v is cured
+            if best is None or change < best:
+                best, choice = change, v
             m ^= low
         return choice
 
@@ -396,7 +421,9 @@ def _allocator(policy: CuringPolicy, g: Graph, budget: float, context, history: 
 
     kind, decide = type(policy).decide, policy.decide
     if kind is RandomInfected.decide or kind is _OneNodePolicy.decide:
-        pick = policy._pick if kind is RandomInfected.decide else None
+        pick = None
+        if kind is RandomInfected.decide:  # the built-in pick hashes in its own frame, with no method call
+            pick = _picker(policy.seed) if type(policy)._pick is RandomInfected._pick else policy._pick
         choose = None if pick else policy.choose
         whole = [(((v, budget),), budget) for v in range(n)]  # the allocation, per vertex
 
@@ -450,7 +477,11 @@ class _Engine(dict):
             ahead = block_prefix == prefix and j == len(keys)
             keys = _seed_keys(prefix, i, 512) if ahead else [SeedSequence(parts).generate_state(2, np.uint64)]
             self._keys, j = (prefix, i, keys), 0
-        self._fresh["state"]["key"] = keys[j]
+        return self.rekey(keys[j])
+
+    def rekey(self, key) -> Generator:
+        """The generator, in the state of a new ``Generator(Philox(key=key))``."""
+        self._fresh["state"]["key"] = key
         self.rng.bit_generator.state = self._fresh
         return self.rng
 
@@ -472,6 +503,14 @@ class _Engine(dict):
         return row
 
 
+def _engine_for(policy: CuringPolicy, g: Graph, r: float, context) -> _Engine:
+    """The policy's engine set-up on (g, r, context): the kept one, or a new one kept in its place."""
+    engine = policy._engine
+    if engine is None or not (engine.g is g and engine.context is context and engine.r == r):
+        engine = policy._engine = _Engine(policy, g, r, context)
+    return engine
+
+
 def simulate(
     g: Graph,
     i0,
@@ -487,27 +526,38 @@ def simulate(
     """Run one exact Gillespie trajectory until extinction or a cap.
 
     Hitting a cap censors the run (flagged on the trace, not raised). A
-    policy that violates its budget raises :class:`PolicyFault`.
+    policy that violates its budget raises :class:`PolicyFault`. The
+    trajectory itself is ``_run``'s, the kernel that ``estimate_extinction``
+    calls directly; this wrapper checks the arguments, prepares the policy
+    and builds the trace.
     """
     if r < 0:
         raise ValueError("curing budget r must be >= 0")
     seed_parts = _seed_entropy(seed)
-    start = mask = _mask_from(i0, g.n)
+    start = _mask_from(i0, g.n)
     policy.prepare(g, r, context)
-    n = g.n
-    if mask == 0:
-        return EpidemicTrace(
-            graph=g, i0=NodeSet(0, n), policy=policy.name, r=r, seed=seed_parts,
-            events=(), tau=0.0, censored=False, censor_reason=None,
-            t_end=0.0, n_events=0, final_infected=NodeSet(0, n),
-        )
+    events = [] if record_events else None
+    if start:
+        engine = _engine_for(policy, g, r, context)
+        tau, reason, nev, t, mask = _run(engine, start, engine.stream(seed_parts), max_time, max_events, events)
+    else:
+        tau, reason, nev, t, mask = 0.0, None, 0, 0.0, 0
+    return EpidemicTrace(
+        graph=g, i0=NodeSet(start, g.n), policy=policy.name, r=r, seed=seed_parts,
+        events=tuple(events or ()), tau=tau, censored=reason is not None, censor_reason=reason,
+        t_end=t, n_events=nev, final_infected=NodeSet(mask, g.n),
+    )
 
-    engine = policy._engine
-    if engine is None or not (engine.g is g and engine.context is context and engine.r == r):
-        engine = policy._engine = _Engine(policy, g, r, context)
-    rng = engine.stream(seed_parts)
+
+def _run(engine: _Engine, mask: int, rng: Generator, max_time: float, max_events: int, events: Optional[list]) -> tuple:
+    """The event loop from the nonempty infected set ``mask``: (tau, censor_reason, n_events, t_end, final mask).
+
+    ``rng`` is the engine's generator, keyed for this run. Each event is
+    appended to ``events`` as (time, vertex, kind) unless it is None.
+    """
+    g = engine.g
+    n = g.n
     alloc = engine.alloc
-    events: list[tuple[float, int, str]] = []
     rows = None
     if n <= ROW_BITS:
         rows = engine
@@ -526,7 +576,7 @@ def simulate(
     bi = 0
 
     t = 0.0
-    tau, censored, reason = None, False, None
+    tau, reason = None, None
     nev = 0
     while True:
         if rows is not None:
@@ -540,8 +590,7 @@ def simulate(
             items, cure = alloc(mask, t, nev, None)
         total = c + cure
         if total <= 0.0:
-            censored, reason = True, "max_time"
-            t = max_time
+            reason, t = "max_time", max_time
             break
 
         if bi >= blen:
@@ -556,8 +605,7 @@ def simulate(
             bi += 1
         t_next = t - log1p(-u) / total
         if t_next > max_time:
-            censored, reason = True, "max_time"
-            t = max_time
+            reason, t = "max_time", max_time
             break
         t = t_next
 
@@ -600,20 +648,15 @@ def simulate(
                     cnt[w] -= 1
 
         nev += 1
-        if record_events:
+        if events is not None:
             events.append((t, chosen, kind))
         if mask == 0:
             tau = t
             break
         if nev >= max_events:
-            censored, reason = True, "max_events"
+            reason = "max_events"
             break
-
-    return EpidemicTrace(
-        graph=g, i0=NodeSet(start, n), policy=policy.name, r=r, seed=seed_parts,
-        events=tuple(events), tau=tau, censored=censored, censor_reason=reason,
-        t_end=t, n_events=nev, final_infected=NodeSet(mask, n),
-    )
+    return tau, reason, nev, t, mask
 
 
 def validate_trace(trace: EpidemicTrace) -> None:
@@ -669,25 +712,120 @@ class SimEstimate:
         return f"{self.graph_label},{self.policy},{self.r!r},{self.replications},{mean},{se},{self.censored}"
 
 
-_worker_job: Optional[tuple] = None  # a pool worker's replication inputs, set once by _init_worker
+def _replicate(indices: range, job: tuple) -> list:
+    """(tau, censor_reason, n_events) of each replication index in ``indices``, in order.
 
-
-def _init_worker(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _replicate(indices, job: Optional[tuple] = None) -> list:
-    """(tau, censor_reason, n_events) of each replication index, in order."""
-    g, i0_mask, policy, r, seed, context, max_time, max_events = job or _worker_job
+    Replication i is ``simulate(g, i0, policy, r, (seed, i), record_events=False)``
+    with ``job = (g, i0 mask, policy, r, seed, context, max_time, max_events)``,
+    run on the kernel with no trace: the budget and the master seed are
+    checked once, the keys of up to 512 consecutive indices are derived at
+    once and the engine's one generator is re-keyed per replication. The
+    policy is prepared per replication, as ``simulate`` prepares it per run.
+    """
+    g, start, policy, r, seed, context, max_time, max_events = job
+    if r < 0:
+        raise ValueError("curing budget r must be >= 0")
+    prefix = _seed_entropy(seed)
+    engine = None
     out = []
-    for i in indices:
-        tr = simulate(
-            g, i0_mask, policy, r, (seed, i),
-            max_time=max_time, max_events=max_events, record_events=False, context=context,
-        )
-        out.append((tr.tau, tr.censor_reason, tr.n_events))
+    for a in range(indices.start, indices.stop, 512):
+        for key in _seed_keys(prefix, a, min(512, indices.stop - a)):
+            policy.prepare(g, r, context)
+            if not start:  # extinct at time 0, as simulate reports it
+                out.append((0.0, None, 0))
+                continue
+            if engine is None:  # after the first prepare, which may refuse the inputs
+                engine = _engine_for(policy, g, r, context)
+            tau, reason, nev, _, _ = _run(engine, start, engine.rekey(key), max_time, max_events, None)
+            out.append((tau, reason, nev))
     return out
+
+
+_job_tokens = itertools.count()  # one token per pooled call, so a worker knows when its job is new
+_worker_job = (None, None)  # in a pool worker: (token, job) of the call it serves; a kept worker drops it when idle
+_worker_ticks = 0  # in a pool worker: blocks begun plus blocks ended, so odd while one runs
+_pool = None  # (pid, workers, executor) of the pool kept across estimate_extinction calls
+# A kept pool gets the pickled job with every block, at ~1.4 ns per byte to
+# pickle, pipe and unpickle; a pool forked with the job costs ~3 ms more per
+# call than the kept one (two workers, 2-core Xeon, Python 3.11). So past this
+# many bytes in all a call forks its own pool.
+_FORK_BYTES = 1 << 21
+
+
+def _replicate_pooled(token: int, payload: Optional[bytes], block: range) -> list:
+    """``_replicate`` in a pool worker; the job is unpickled once per call, so its engine lives across blocks."""
+    global _worker_job, _worker_ticks
+    _worker_ticks += 1
+    try:
+        held, job = _worker_job  # read once: the watch thread may drop it meanwhile
+        if held != token:
+            import pickle
+
+            _worker_job = (None, None)  # the last call's job goes before this one is unpickled
+            job = pickle.loads(payload)
+            _worker_job = (token, job)
+        return _replicate(block, job)
+    finally:
+        _worker_ticks += 1
+
+
+def _start_worker(token: Optional[int] = None, job: Optional[tuple] = None) -> None:
+    """Pool worker initializer: holds the job of a pool forked for one call, if any, and watches the parent.
+
+    A daemon thread ends the worker once its parent has died, even by
+    SIGKILL. In a kept worker it also drops the job, and with it the
+    engine, after a second in which no block ran.
+    """
+    import gc
+    import threading
+    from multiprocessing import connection, parent_process
+
+    global _worker_job
+    _worker_job = (token, job)
+    sentinel, parent = parent_process().sentinel, os.getppid()
+
+    def watch():
+        global _worker_job
+        seen = None
+        # EOF on the parent's sentinel pipe; a process forked later by the parent
+        # holds its write end open too, so a new parent pid also counts
+        while not connection.wait([sentinel], 1.0) and os.getppid() == parent:
+            if job is None and _worker_ticks == seen and not seen & 1 and _worker_job[0] is not None:
+                _worker_job = (None, None)
+                gc.collect()  # the engine and its policy refer to each other
+            seen = _worker_ticks
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _kept_pool(workers: int):
+    """This process's pool of ``workers`` workers, kept across calls.
+
+    A pool of another size or a broken one is shut down and replaced, its
+    queued blocks cancelled (an interrupted call leaves some); one
+    inherited through a fork is the parent's and is only dropped. The exit
+    hook shuts the kept pool down.
+    """
+    global _pool
+    import atexit
+    from concurrent.futures import ProcessPoolExecutor  # here, so `import epigraph` skips multiprocessing
+
+    if _pool is not None and _pool[0] == os.getpid() and _pool[1] == workers and not _pool[2]._broken:
+        return _pool[2]
+    _shutdown_pool()
+    _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers, initializer=_start_worker))
+    atexit.unregister(_shutdown_pool)
+    atexit.register(_shutdown_pool)
+    return _pool[2]
+
+
+def _shutdown_pool() -> None:
+    """Shut the kept pool down, cancelling queued blocks; one inherited through a fork is only dropped."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(cancel_futures=True)
+    _pool = None
 
 
 def estimate_extinction(
@@ -705,23 +843,49 @@ def estimate_extinction(
 ) -> SimEstimate:
     """Mean extinction time over independent replications.
 
-    Replication i runs with seed (seed, i). A pool gets the inputs once per
-    worker and runs contiguous blocks of replication indices, so a worker
-    keeps its engine set-up, rows and seed keys across its blocks; results
-    are aggregated by replication index, so worker scheduling cannot change
-    the estimate. Censored runs are excluded from the mean but always
-    reported, with their reasons.
+    Replication i runs with seed (seed, i); no trace is built for it (see
+    ``_replicate``). With ``workers`` > 1 the replications run on a pool of
+    worker processes kept across calls: it is replaced when the worker
+    count changes or it is found broken, and shut down at interpreter exit,
+    and each worker exits when this process dies (within about a second if
+    another child of this process holds its sentinel pipe open). Each call
+    pickles its inputs once, so the graph, policy and context must pickle
+    (a policy drops its engine set-up when pickled); a worker unpickles
+    them once per call and runs contiguous blocks of replication indices,
+    keeping its engine set-up, rows and seed keys across its blocks, and
+    drops them once idle. A job too big to send with every block
+    (``_FORK_BYTES``), or one naming anything defined in ``__main__``,
+    which may have changed since the kept workers were forked, runs on a
+    pool forked with it for this call, after the kept pool is shut down.
+    Kept workers see other modules as they were when forked. Results are
+    aggregated by replication index, so worker scheduling cannot change the
+    estimate. Censored runs are excluded from the mean but always reported,
+    with their reasons.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     t0 = _time.perf_counter()
     job = (g, _mask_from(i0, g.n), policy, r, int(seed), context, max_time, max_events)
     if workers and workers > 1 and replications > 1:
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+
         size = max(1, replications // (8 * workers))
         blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
-        from concurrent.futures import ProcessPoolExecutor  # here, so `import epigraph` skips multiprocessing
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
-            results = [res for block in pool.map(_replicate, blocks) for res in block]
+        token, buffers = next(_job_tokens), []
+        head = pickle.dumps(job, 5, buffer_callback=buffers.append)  # numpy's arrays are sized here, not copied
+        nbytes = len(head) + sum(memoryview(b).nbytes for b in buffers)
+        if nbytes * len(blocks) > _FORK_BYTES or b"__main__" in head:
+            # too big to send with every block, or naming what __main__ may have redefined since
+            # the kept workers were forked: as before, a pool forked with the job runs this call
+            _shutdown_pool()
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(token, job)) as pool:
+                chunks = list(pool.map(_replicate_pooled, itertools.repeat(token), itertools.repeat(None), blocks))
+        else:
+            payload = pickle.dumps(job, pickle.HIGHEST_PROTOCOL) if buffers else head
+            pool = _kept_pool(workers)
+            chunks = list(pool.map(_replicate_pooled, itertools.repeat(token), itertools.repeat(payload), blocks))
+        results = [res for block in chunks for res in block]
     else:
         results = _replicate(range(replications), job)
     policy._engine = None  # the engine's set-up lives for one call

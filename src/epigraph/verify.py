@@ -40,11 +40,12 @@ from .crusade import (
     resilience,
     resilience_table,
 )
-from .graph import Graph, _check_budget, cut_table, generate, subset_pairs, subset_sums
+from .graph import Graph, SizeCapError, cut_table, generate, subset_pairs, subset_sums
 
 MAX_FAILURES_KEPT = 5
 CERTIFICATE_BAGS = 8  # random bags certified per graph above 4 vertices
 PAIR_BLOCK_BITS = 15  # bag pairs per block of check_cut_properties, as a bit count
+MAX_PAIR_CHECK_N = 12  # check_cut_properties refuses larger n: its pair checks grow as 4^n, its memory does not
 
 
 @dataclass
@@ -208,12 +209,13 @@ def check_cut_properties(g: Graph, cuts: Optional[np.ndarray] = None) -> list[Ch
     sweep of 2^13..2^17 pairs per block at n = 6..12 (ER p = 0.4, 2-core
     Xeon) found 2^15 fastest from n = 8 on when every block held all three
     conditions. Run again on detection, 2^15 was fastest or within 3% up
-    to n = 10, and 2^16 7-8% faster at n = 11-12. The ``_check_budget``
-    charge of 4^n pairs bounds the pair count, that is the compute, since
-    memory is one block: n >= 13 is refused.
+    to n = 10, and 2^16 7-8% faster at n = 11-12. Memory is one block at
+    any n, so the cap is on compute: above ``MAX_PAIR_CHECK_N`` = 12 the
+    4^n pairs are refused before any table is built.
     """
     n = g.n
-    _check_budget(1 << (2 * n), f"cut pair checks for n={n}")
+    if n > MAX_PAIR_CHECK_N:
+        raise SizeCapError(f"cut pair checks for n={n}: 4^{n} bag pairs, over the cap of 4^{MAX_PAIR_CHECK_N}")
     size = 1 << n
     delta = g.max_degree
     c = (cut_table(g) if cuts is None else cuts).astype(np.int32)

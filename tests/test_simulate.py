@@ -2,8 +2,16 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import pickle
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +483,17 @@ class ClockPolicy(CuringPolicy):
         return {vs[(len(history) + int(t * 10)) % len(vs)]: self.budget}
 
 
+@pytest.fixture
+def fresh_pool():
+    """Kept pool workers forked after the test's patches; the next test's are forked after they are undone.
+
+    Request it after ``monkeypatch``, so it is torn down first.
+    """
+    simulation._shutdown_pool()
+    yield
+    simulation._shutdown_pool()
+
+
 class TestRowCache:
     def test_non_markov_decide_asked_once_per_event(self):
         pol = ClockPolicy()
@@ -486,10 +505,12 @@ class TestRowCache:
             assert [k for _, k in pol.calls] == list(range(tr.n_events))
             assert [t for t, _ in pol.calls] == [0.0] + [t for t, _, _ in tr.events[:-1]]
 
-    def test_scan_path_reproduces_frozen_outputs(self, monkeypatch):
+    def test_scan_path_reproduces_frozen_outputs(self, monkeypatch, fresh_pool):
         # with no graph small enough for rows, every run takes the incremental scan
         monkeypatch.setattr(simulation, "ROW_BITS", 0)
         test_seeded_outputs_frozen()
+        # the pooled estimates ran on workers forked under the patch
+        assert simulation._pool[2].submit(eval, "__import__('epigraph').simulation.ROW_BITS").result() == 0
 
     def test_paths_agree_above_row_bits(self, monkeypatch):
         g = generate("random_regular", 18, d=3, seed=2)
@@ -656,3 +677,236 @@ class TestEngineReuse:
                     assert reused.runs - runs == (reps or 1)
             assert reused._engine is not None
             assert pickle.loads(pickle.dumps(reused))._engine is None  # a copy builds its own
+
+
+# ---------------------------------------------------------------------------
+# The outcome kernel and the kept process pool
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+KERNEL_POLICIES = ("none", "random_infected", "max_degree_infected", "degree_proportional",
+                   "max_cut_drop", "resilience_greedy", "counting")
+
+
+def kernel_policy(name, table):
+    return CountingPolicy() if name == "counting" else builtin_policy(name, seed=5, table=table)
+
+
+class TestReplicateKernel:
+    @pytest.mark.parametrize("name", KERNEL_POLICIES)
+    def test_replicate_equals_simulate(self, name):
+        graphs = (K3, generate("erdos_renyi", 8, p=0.4, seed=1), generate("grid", 12), generate("cycle", 16))
+        assert graphs[-1].n > simulation.ROW_BITS  # the scan path
+        # a block from 0 under an event cap, one that crosses the 512-key boundary under a time cap
+        blocks = ((range(0, 12), {"max_time": 1e6, "max_events": 12}), (range(505, 520), {"max_time": 1.5, "max_events": 10**8}))
+        reasons = set()
+        for g in graphs:
+            table = resilience_table(g)
+            for i0 in (g.full_mask, 0b101, 0):
+                for block, caps in blocks:
+                    job = (g, i0, kernel_policy(name, table), 3.0, 17, table, caps["max_time"], caps["max_events"])
+                    got = simulation._replicate(block, job)
+                    pol = kernel_policy(name, table)
+                    want = [
+                        (tr.tau, tr.censor_reason, tr.n_events)
+                        for tr in (simulate(g, i0, pol, 3.0, (17, i), record_events=False, context=table, **caps) for i in block)
+                    ]
+                    assert got == want, (g.label, i0, block)
+                    reasons.update(reason for _, reason, _ in got)
+        assert reasons == {None, "max_time", "max_events"}
+
+    def test_replicate_checks_budget_and_seed(self):
+        with pytest.raises(ValueError, match="budget"):
+            simulation._replicate(range(2), (K3, K3.full_mask, one_node(), -1.0, 1, None, 1e6, 10))
+        with pytest.raises(ValueError, match="non-negative"):
+            simulation._replicate(range(2), (K3, K3.full_mask, one_node(), 1.0, -1, None, 1e6, 10))
+
+    def test_random_infected_seed_change_rebuilds_engine(self):
+        g = generate("cycle", 6)
+        pol = builtin_policy("random_infected", seed=5)
+        simulate(g, g.full_mask, pol, 1.5, 42, max_time=300.0)
+        pol.seed = 6
+        again = simulate(g, g.full_mask, pol, 1.5, 42, max_time=300.0)
+        fresh = simulate(g, g.full_mask, builtin_policy("random_infected", seed=6), 1.5, 42, max_time=300.0)
+        assert again.serialize() == fresh.serialize()
+
+
+def run_script(body: str) -> subprocess.Popen:
+    """Start ``python -c`` on POOL_PRELUDE and ``body``, with this checkout's package; stdout and stderr piped."""
+    code = textwrap.dedent(POOL_PRELUDE) + textwrap.dedent(body)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, "-c", code], env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie (exited, not yet reaped) counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def wait_gone(pids, seconds: float) -> set:
+    """The pids still alive after waiting up to ``seconds`` for them to end."""
+    deadline = time.monotonic() + seconds
+    while True:
+        left = {p for p in pids if alive(p)}
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.05)
+
+
+POOL_PRELUDE = """
+    import multiprocessing, os, signal, sys, time
+    from epigraph import builtin_policy, estimate_extinction, generate
+    g = generate("complete", 4)
+
+    def outcome(workers, seed=3, policy=None):
+        est = estimate_extinction(g, g.full_mask, policy or builtin_policy("random_infected", seed=2), 3.0, 60, seed, workers=workers)
+        return est.taus, est.n_events, est.censor_reasons
+
+    def workers_alive():
+        return sorted(p.pid for p in multiprocessing.active_children())
+"""
+
+
+class TestKeptPool:
+    def test_new_jobs_on_the_kept_pool_equal_serial(self):
+        er = generate("erdos_renyi", 8, p=0.4, seed=1)
+        table = resilience_table(er)
+        pol = builtin_policy("resilience_greedy", table=table)
+        # back to back on one pool: each call's job (graph, policy, seed, caps) differs from the last
+        cells = (
+            (K3, one_node(), 1.0, 30, 3, {}),
+            (K3, one_node(), 1.0, 30, 4, {}),
+            (er, pol, 2.0, 25, 4, {"max_events": 40}),
+            (er, pol, 2.0, 25, 4, {"max_events": 400}),
+            (K3, builtin_policy("random_infected", seed=1), 1.0, 30, 4, {}),
+        )
+        for g, policy, r, reps, seed, caps in cells:
+            serial, pooled = (
+                estimate_extinction(g, g.full_mask, policy, r, reps, seed, workers=w, context=table, **caps)
+                for w in (None, 2)
+            )
+            assert (serial.taus, serial.n_events, serial.censor_reasons) == (pooled.taus, pooled.n_events, pooled.censor_reasons)
+
+    def test_large_job_runs_on_a_pool_of_its_own(self, monkeypatch):
+        er = generate("erdos_renyi", 8, p=0.4, seed=1)
+        table = resilience_table(er)
+        pol = builtin_policy("resilience_greedy", table=table)
+        serial = estimate_extinction(er, er.full_mask, pol, 2.0, 25, 4, context=table)
+        estimate_extinction(K3, K3.full_mask, one_node(), 1.0, 4, 1, workers=2)
+        assert simulation._pool is not None
+        monkeypatch.setattr(simulation, "_FORK_BYTES", 0)  # every job counts as too big to send per block
+        pooled = estimate_extinction(er, er.full_mask, pol, 2.0, 25, 4, workers=2, context=table)
+        assert (serial.taus, serial.n_events, serial.censor_reasons) == (pooled.taus, pooled.n_events, pooled.censor_reasons)
+        assert simulation._pool is None  # the kept pool was shut down first
+
+    def test_idle_kept_workers_drop_their_job(self):
+        estimate_extinction(K3, K3.full_mask, one_node(), 1.0, 40, 2, workers=2)
+        pool, probe = simulation._pool[2], "__import__('epigraph').simulation._worker_job[0]"
+        deadline = time.monotonic() + 10
+        while {pool.submit(eval, probe).result() for _ in range(8)} != {None}:
+            assert time.monotonic() < deadline, "a kept worker still holds its job 10 s after the call"
+            time.sleep(0.2)
+
+    def test_job_that_does_not_pickle_raises(self):
+        pol = one_node()
+        pol.hook = lambda: None
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            estimate_extinction(K3, K3.full_mask, pol, 1.0, 4, 1, workers=2)
+
+    def test_resized_pool_and_clean_exit(self):
+        proc = run_script("""
+            serial = outcome(None)
+            assert outcome(2) == serial
+            first = workers_alive()
+            assert outcome(3) == serial
+            second = workers_alive()
+            assert len(first) == 2 and len(second) == 3 and not set(first) & set(second), (first, second)
+            print(" ".join(map(str, second)))
+        """)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == "", err
+        assert not wait_gone([int(p) for p in out.split()], 5.0)
+
+    def test_parent_kill_ends_workers(self):
+        proc = run_script("""
+            outcome(2)
+            workers = workers_alive()
+            sleeper = os.fork()
+            if sleeper == 0:  # holds the write ends of the workers' parent sentinels, as any later fork would
+                time.sleep(60)
+                os._exit(0)
+            print(*workers, sleeper, flush=True)
+            time.sleep(60)
+        """)
+        pids = []
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no worker pids within 30 s"
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert len(pids) == 3
+            proc.kill()
+            proc.wait(timeout=10)
+            assert not wait_gone(pids[:2], 5.0)
+            assert alive(pids[2])
+        finally:  # processes left running would hold the pipes open, so they go first
+            for pid in pids:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.communicate(timeout=10)
+
+    def test_killed_worker_and_late_class_get_a_new_pool(self):
+        proc = run_script("""
+            serial = outcome(None)
+            assert outcome(2) == serial
+            victims = workers_alive()
+            os.kill(victims[0], signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while set(victims) & set(workers_alive()) and time.monotonic() < deadline:
+                time.sleep(0.05)  # the pool notices the death and ends its other worker
+            assert outcome(2) == serial
+            assert not set(victims) & set(workers_alive())
+
+            from epigraph.simulation import MaxDegreeInfected
+
+            class Late(MaxDegreeInfected):  # defined after the workers were forked
+                pass
+
+            assert outcome(2, policy=Late()) == outcome(None, policy=Late())
+            print("ok")
+        """)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, "ok\n", "")
+
+    def test_main_class_redefined_between_pooled_calls(self):
+        proc = run_script("""
+            from epigraph.simulation import MaxDegreeInfected
+            g = generate("erdos_renyi", 8, p=0.4, seed=1)
+
+            class Mine(MaxDegreeInfected):
+                def choose(self, mask):
+                    return (mask & -mask).bit_length() - 1  # the lowest infected id
+
+            first = outcome(None, policy=Mine())
+            assert outcome(2, policy=Mine()) == first
+            assert outcome(3) == outcome(None)  # a kept pool forked while the first Mine is defined
+
+            class Mine(MaxDegreeInfected):  # the same name, another choice
+                pass
+
+            second = outcome(None, policy=Mine())
+            assert second != first
+            assert outcome(3, policy=Mine()) == second
+            print("ok")
+        """)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, "ok\n", "")

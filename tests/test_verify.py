@@ -140,10 +140,10 @@ class TestFaultInjection:
         assert digest == FROZEN_FAULT_LINES_SHA256
 
     def test_cut_pair_checks_refused_over_budget(self):
-        # 4^13 bag pairs at 24 B each: refused before the pair arrays exist
+        # 4^13 bag pairs, over the compute cap: refused before any table is built
         tracemalloc.start()
         try:
-            with pytest.raises(SizeCapError, match="cut pair checks for n=13 needs"):
+            with pytest.raises(SizeCapError, match=r"cut pair checks for n=13: 4\^13 bag pairs, over the cap of 4\^12"):
                 check_cut_properties(generate("path", 13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
