@@ -13,6 +13,7 @@ from .bounds import (
     random_walk_lower_bound,
     slack_E,
 )
+from .chain import exact_extinction_complete
 from .crusade import (
     Crusade,
     CrusadeStepError,
@@ -37,22 +38,18 @@ from .graph import (
     NodeSetSequence,
     SizeCapError,
     cut,
-    cut_after_toggle,
     cut_table,
     generate,
     parse_graph,
     write_graph,
 )
 from .simulation import (
-    BandReport,
     CuringPolicy,
     EpidemicTrace,
     PolicyFault,
     SimEstimate,
-    band_instrumentation,
     builtin_policy,
     estimate_extinction,
-    exact_extinction_complete,
     simulate,
     validate_trace,
 )

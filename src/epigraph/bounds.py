@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from numpy.random import Generator, Philox, SeedSequence
 
 import numpy as np
-
-Rational = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
@@ -215,7 +213,6 @@ class BoundResult:
     condition_met: bool
     bound: Optional[Fraction]  # exact value when the exponent is integral
     bound_log10: Optional[float]
-    bound_float: Optional[float]
 
     @property
     def condition_unmet(self) -> bool:
@@ -232,13 +229,13 @@ def extinction_lower_bound(b: BoundInputs) -> BoundResult:
     """
     gap = b.gamma0 - (9 * b.E + 12) * b.delta
     if gap < 3 * b.r:
-        return BoundResult(condition_met=False, bound=None, bound_log10=None, bound_float=None)
+        return BoundResult(condition_met=False, bound=None, bound_log10=None)
     base = gap / (3 * b.r)
     expo = b.gamma0 / (3 * b.delta) - 1
     if expo.denominator == 1:
         value = (base ** int(expo) - 1) / (2 * b.r)
         log10 = frac_log10(value) if value > 0 else -math.inf
-        return BoundResult(True, value, log10, float(value) if value < Fraction(10) ** 300 else math.inf)
+        return BoundResult(True, value, log10)
     # non-integral exponent: log-space floats
     lb = float(expo) * math.log10(float(base))
     log_2r = math.log10(float(2 * b.r))
@@ -247,7 +244,7 @@ def extinction_lower_bound(b: BoundInputs) -> BoundResult:
     else:
         inner = 10.0**lb - 1.0
         log10 = math.log10(inner) - log_2r if inner > 0 else -math.inf
-    return BoundResult(True, None, log10, 10.0**log10 if log10 < 300 else math.inf)
+    return BoundResult(True, None, log10)
 
 
 def bound_from_walk(b: BoundInputs) -> Fraction:

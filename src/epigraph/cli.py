@@ -8,7 +8,9 @@ from its echo. The master seed comes from --seed, else the EPIGRAPH_SEED
 environment variable, else 42.
 
 Exit codes: 0 ok, 2 usage or input error, 3 policy fault, 4 degenerate
-result (for example, every replication censored).
+result (for example, every replication censored). A sweep cell that fails
+is flagged and the sweep goes on: its row holds -1 in the integer
+``censored`` column and leaves ``mean_tau`` and ``se`` empty.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import bounds, crusade, graph, simulation, verify
+from . import bounds, chain, crusade, graph, simulation, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -276,7 +278,7 @@ def _sweep_cell(cfg: dict, n: int, r: Fraction, pol: str) -> str:
         if cfg["mode"] == "exact":
             if family != "complete":
                 raise ValueError("exact mode solves complete graphs only")
-            value = simulation.exact_extinction_complete(n, r)
+            value = chain.exact_extinction_complete(n, r)
             return f"{label},exact,{float(r)!r},0,{float(value)!r},,0"
         g = graph.generate(family, n, seed=cfg["seed"], p=cfg["p"], d=cfg["d"])
         if cfg["mode"] == "bound":
@@ -288,7 +290,7 @@ def _sweep_cell(cfg: dict, n: int, r: Fraction, pol: str) -> str:
         sys.stderr.write(f"cell {label} r={r} {pol}: flagged ({exc})\n")
         if cfg["mode"] == "bound":
             return f"{n},,,,,{r},error,"
-        return f"{label},{pol},{float(r)!r},{reps},,,censored"
+        return f"{label},{pol},{float(r)!r},{reps},,,-1"
 
 
 # ---------------------------------------------------------------------------

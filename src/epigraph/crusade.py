@@ -226,12 +226,6 @@ class ResilienceTable:
             block = np.stack([masks, *(col[a : a + CSV_BLOCK] for col in columns)], axis=1)
             yield ("%d,%d,%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist())
 
-    def to_csv(self) -> str:
-        self._need_gamma()
-        n = self.graph.n
-        _check_budget(2 << n, f"table CSV for n={n}")  # the joined rows peak at ~40 B each
-        return "".join(self.csv_blocks())
-
 
 def monotone_context(g: Graph) -> ResilienceTable:
     """Cut and monotone tables only; supports single-bag queries and

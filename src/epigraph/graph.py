@@ -77,9 +77,8 @@ def _mask_from(bag, n: int) -> int:
 class NodeSet:
     """An immutable subset of the vertices 0..n-1, stored as a bitmask.
 
-    Supports the usual set algebra (``|``, ``&``, ``-``, ``^``), membership,
-    iteration in ascending vertex order, and the one-vertex ``add``/``remove``
-    used by crusade steps (which insist the vertex is absent/present).
+    Supports the usual set algebra (``|``, ``&``, ``-``, ``^``), membership
+    and iteration in ascending vertex order.
     """
 
     __slots__ = ("mask", "n")
@@ -151,23 +150,6 @@ class NodeSet:
 
     def __xor__(self, other) -> "NodeSet":
         return self._wrap(self.mask ^ _mask_from(other, self.n))
-
-    def add(self, v: int) -> "NodeSet":
-        """Return self + v; v must not already be a member."""
-        if v in self:
-            raise ValueError(f"vertex {v} already in set")
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
-        return self._wrap(self.mask | (1 << v))
-
-    def remove(self, v: int) -> "NodeSet":
-        """Return self - v; v must be a member."""
-        if v not in self:
-            raise ValueError(f"vertex {v} not in set")
-        return self._wrap(self.mask ^ (1 << v))
-
-    def complement(self) -> "NodeSet":
-        return self._wrap(((1 << self.n) - 1) ^ self.mask)
 
     def __repr__(self) -> str:
         return f"NodeSet({sorted(self)}, n={self.n})"
@@ -273,12 +255,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> NodeSet:
-        return NodeSet(self.adj[v], self.n)
-
     def nodeset(self, bag) -> NodeSet:
         """Wrap any bag representation as a NodeSet over this graph's vertices."""
         return NodeSet._of(_mask_from(bag, self.n), self.n)
@@ -317,8 +293,8 @@ def _is_connected(n: int, adj: Sequence[int]) -> bool:
 def cut(g: Graph, bag) -> int:
     """Number of edges with exactly one endpoint in the bag.
 
-    From-scratch recount; the incremental :func:`cut_after_toggle` is the fast
-    path and this is its independent check.
+    A from-scratch recount: the independent check of the tables and of the
+    simulator's incremental cut.
     """
     mask = _mask_from(bag, g.n)
     comp = g.full_mask ^ mask
@@ -330,20 +306,6 @@ def cut(g: Graph, bag) -> int:
         total += (adj[low.bit_length() - 1] & comp).bit_count()
         m ^= low
     return total
-
-
-def cut_after_toggle(g: Graph, mask: int, current_cut: int, v: int) -> int:
-    """Cut of ``mask ^ (1<<v)`` given ``cut(mask)``, in O(1) word ops.
-
-    Flipping v in or out changes the cut by deg(v) - 2*|N(v) & mask'| where
-    mask' is the side v is moving away from; both directions reduce to the
-    same popcount on ``mask`` with v's own bit ignored (v never neighbors
-    itself).
-    """
-    inside = (g.adj[v] & mask).bit_count()
-    if (mask >> v) & 1:
-        return current_cut - g.deg[v] + 2 * inside
-    return current_cut + g.deg[v] - 2 * inside
 
 
 def cut_table(g: Graph) -> np.ndarray:

@@ -37,14 +37,14 @@ import os
 import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from .chain import exact_extinction_complete  # noqa: F401  perfbench calls it from here
 from .crusade import ResilienceTable
-from .graph import Graph, NodeSet, _mask_from, cut, cut_after_toggle
+from .graph import Graph, NodeSet, _mask_from, cut
 
 DEFAULT_MAX_TIME = 1e6
 DEFAULT_MAX_EVENTS = 10**8
@@ -900,119 +900,3 @@ def estimate_extinction(
         n_events=sum(nev for _, _, nev in results),
         censor_reasons={k: reasons.count(k) for k in ("max_time", "max_events")},
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact birth-death reduction for complete graphs
-# ---------------------------------------------------------------------------
-
-def exact_extinction_complete(n: int, r) -> Fraction:
-    """Exact expected extinction time on K_n from full infection.
-
-    On a complete graph the cut depends only on the infected count
-    (k(n-k)), so every budget-exhausting policy induces the same birth-death
-    chain: up-rate k(n-k), down-rate r. Solved by telescoping the expected
-    one-step-down times d_k = (1 + k(n-k) d_{k+1}) / r from d_n = 1/r.
-    Exact rationals throughout; the values grow explosively with n.
-    """
-    if n < 2:
-        raise ValueError("exact_extinction_complete needs n >= 2")
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("curing budget r must be > 0")
-    d = 1 / r
-    total = d
-    for k in range(n - 1, 0, -1):
-        d = (1 + Fraction(k * (n - k)) * d) / r
-        total += d
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Coupled-process instrumentation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BandReport:
-    """Occupancy of the infected-count band [floor(g0/3D), floor(2g0/3D)]."""
-
-    band_lo: int
-    band_hi: int
-    tau_star: Optional[float]
-    band_entered: bool
-    band_dwell: float
-    min_cut_in_band: Optional[int]
-    top_dwell: float
-    top_cure_events: int
-    top_cure_rate: Optional[float]
-    vacuous: bool
-    drift_floor: Optional[float] = None
-    drift_ok: Optional[bool] = None
-
-
-def band_instrumentation(trace: EpidemicTrace, gamma0, delta: int, *, slack_e=None) -> BandReport:
-    """Replay a trace and report how it moved through the coupling band.
-
-    tau_star is the first time the infected count drops to floor(g0/(3*delta))
-    or below (0 if it starts there). When ``slack_e`` is given, the report
-    also checks the drift floor g0/3 - (3*E+4)*delta against the minimum cut
-    seen in the band. A band with no positive level, or one the trace never
-    enters, is reported vacuous, never as a failure.
-    """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    g = trace.graph
-    lo = math.floor(Fraction(gamma0) / (3 * delta))
-    hi = math.floor(2 * Fraction(gamma0) / (3 * delta))
-    mask = int(trace.i0)
-    size = mask.bit_count()
-    cur_cut = cut(g, mask)
-
-    tau_star = 0.0 if size <= lo else None
-    band_entered = lo <= size <= hi
-    band_dwell = 0.0
-    top_dwell = 0.0
-    top_cures = 0
-    min_cut = cur_cut if band_entered else None
-    t_prev = 0.0
-
-    for t, v, kind in trace.events:
-        span = t - t_prev
-        if lo <= size <= hi:
-            band_dwell += span
-        if size == hi:
-            top_dwell += span
-            if kind == "cure":
-                top_cures += 1
-        t_prev = t
-        cur_cut = cut_after_toggle(g, mask, cur_cut, v)
-        if kind == "infect":
-            mask |= 1 << v
-            size += 1
-        else:
-            mask ^= 1 << v
-            size -= 1
-        if lo <= size <= hi:
-            band_entered = True
-            if min_cut is None or cur_cut < min_cut:
-                min_cut = cur_cut
-        if tau_star is None and size <= lo:
-            tau_star = t
-    if lo <= size <= hi:
-        band_dwell += trace.t_end - t_prev
-    if size == hi:
-        top_dwell += trace.t_end - t_prev
-
-    vacuous = hi < 1 or not band_entered
-    report = BandReport(
-        band_lo=lo, band_hi=hi, tau_star=tau_star, band_entered=band_entered,
-        band_dwell=band_dwell, min_cut_in_band=min_cut,
-        top_dwell=top_dwell, top_cure_events=top_cures,
-        top_cure_rate=(top_cures / top_dwell) if top_dwell > 0 else None,
-        vacuous=vacuous,
-    )
-    if slack_e is not None and not vacuous:
-        floor_val = Fraction(gamma0) / 3 - (3 * Fraction(slack_e) + 4) * delta
-        report.drift_floor = float(floor_val)
-        report.drift_ok = min_cut is None or Fraction(min_cut) >= floor_val
-    return report

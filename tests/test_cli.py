@@ -50,7 +50,7 @@ class TestGenAndReports:
         argv = ["resilience", "--gen", "erdos_renyi:9", "--p", "0.4", "--seed", "3", "--bag", "all"]
         code, out, err = run(argv + ["--table-out", str(table_path)], capsys)
         assert code == 0
-        expected = resilience_table(generate("erdos_renyi", 9, p=0.4, seed=3)).to_csv()
+        expected = "".join(resilience_table(generate("erdos_renyi", 9, p=0.4, seed=3)).csv_blocks())
         assert table_path.read_bytes() == expected.encode()
 
     def test_bag_out_of_range_is_usage_error(self, capsys):
@@ -213,12 +213,14 @@ class TestSweepCommand:
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert len(lines) == 5
-        flagged = [ln for ln in lines[1:] if ln.endswith("censored")]
-        assert len(flagged) == 2  # r=0 cells
+        # the r=0 cells are flagged with the integer sentinel -1 and no estimate
+        assert sorted(int(ln.split(",")[6]) for ln in lines[1:]) == [-1, -1, 0, 0]
+        flagged = [ln for ln in lines[1:] if ln.endswith(",-1")]
+        assert all(ln.split(",")[4:6] == ["", ""] for ln in flagged)
 
     @pytest.mark.parametrize("mode, kept_row, flagged_row", [
         ("bound", "4,2,1,5,1,1,unmet,", "8,,,,,1,error,"),
-        ("simulate", "erdos_renyi:4:p0.05,max_degree_infected,1.0,5,", "erdos_renyi:8:p0.05,max_degree_infected,1.0,5,,,censored"),
+        ("simulate", "erdos_renyi:4:p0.05,max_degree_infected,1.0,5,", "erdos_renyi:8:p0.05,max_degree_infected,1.0,5,,,-1"),
     ])
     def test_generation_failure_flagged_and_sweep_continues(self, mode, kept_row, flagged_row, tmp_path, capsys):
         # no connected G(8, 0.05) sample turns up in the generator's retries
@@ -294,7 +296,7 @@ class TestSweepCommand:
         assert code == 0 and "flagged" not in err
         rows = first.splitlines()[1:]
         assert len(rows) == len(argv[argv.index("--n") + 1].split(","))
-        assert not any(row.endswith(("censored", ",error,")) for row in rows)
+        assert not any(row.endswith((",-1", ",error,")) for row in rows)
         code, replay, err = run(["sweep", "--config", str(cfg_path)], capsys)
         assert code == 0 and replay == first
 

@@ -8,7 +8,6 @@ import pytest
 from epigraph import (
     Crusade,
     CrusadeStepError,
-    ResilienceTable,
     SizeCapError,
     crusade_width,
     cut,
@@ -506,13 +505,6 @@ def csv_by_rows(t):
 
 
 class TestCsvExport:
-    def test_csv_refused_over_budget(self):
-        # the rows of an n=24 table would need ~0.8 GB; refused up front
-        g = generate("path", 24)
-        t = ResilienceTable(graph=g, cut=np.zeros(1, np.int16), g=np.zeros(1, np.int16), gamma=np.zeros(1, np.int16))
-        with pytest.raises(SizeCapError, match="table CSV for n=24 needs"):
-            t.to_csv()
-
     @pytest.mark.parametrize("block", [crusade.CSV_BLOCK, 100])
     def test_csv_matches_row_loop(self, block, monkeypatch):
         # a block of 100 rows splits every table above n = 6, the last block short
@@ -521,12 +513,12 @@ class TestCsvExport:
                   generate("erdos_renyi", 12, p=0.4, seed=2))
         for g in graphs:
             t = resilience_table(g)
-            assert t.to_csv() == csv_by_rows(t)
+            assert "".join(t.csv_blocks()) == csv_by_rows(t)
 
     def test_header_and_rows(self):
         g = generate("path", 3)
         t = resilience_table(g)
-        lines = t.to_csv().splitlines()
+        lines = "".join(t.csv_blocks()).splitlines()
         assert lines[0] == "bitmask,cardinality,cut,g,gamma"
         assert len(lines) == 9
         assert lines[1] == "0,0,0,0,0"

@@ -2,20 +2,21 @@
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from epigraph import (
+    BoundInputs,
     NodeSet,
     builtin_policy,
     crusade_width,
     cut,
-    cut_after_toggle,
     cut_table,
-    generate,
+    extinction_lower_bound,
     monotone_table,
     parse_graph,
     resilience_table,
     simulate,
+    slack_E,
     validate_trace,
     write_graph,
 )
@@ -100,13 +101,6 @@ def test_pair_detection_matches_all_pairs(gt, height_bits):
     assert (superadd.passed, lipschitz_check.passed) == (not (first | second).any(), not lipschitz.any())
 
 
-@given(graph_and_mask(), st.integers(0, 7))
-def test_incremental_cut_matches_recount(gm, v):
-    g, mask = gm
-    v %= g.n
-    assert cut_after_toggle(g, mask, cut(g, mask), v) == cut(g, mask ^ (1 << v))
-
-
 @given(connected_graphs(max_n=7))
 def test_graph_file_round_trip(g):
     assert parse_graph(write_graph(g)) == g
@@ -166,3 +160,28 @@ def test_nodeset_roundtrips_through_vertex_lists(n, bits):
     ns = NodeSet(mask, n)
     assert NodeSet(list(ns), n) == ns
     assert len(ns) == bin(mask).count("1")
+
+
+@st.composite
+def premise_inputs(draw):
+    """n, delta, a CutWidth W <= n*delta/2 (often near the top, where the
+    premise can hold), r >= 1 and a start's resilience gamma0 <= W."""
+    n = draw(st.integers(1, 300))
+    delta = draw(st.integers(1, 40))
+    top = n * delta // 2
+    W = draw(st.one_of(st.integers(0, top), st.integers(max(0, top - 60), top)))
+    return n, delta, W, draw(st.integers(1, 50)), draw(st.integers(0, W))
+
+
+@given(premise_inputs())
+@example((100, 4, 198, 14, 197))  # 19W = 9n*delta + 30*delta + 3r exactly: met
+@example((100, 4, 198, 15, 197))  # one more unit of budget: unmet
+def test_full_infection_condition_is_the_premise(inputs):
+    # with gamma0 = W and E = slack_E(n, delta, W) the bound's hypothesis
+    # gamma0 >= delta(9E + 12) + 3r reads 19W >= 9n*delta + 30*delta + 3r
+    n, delta, W, r, gamma0 = inputs
+    E = slack_E(n, delta, W)
+    premise = 19 * W >= 9 * n * delta + 30 * delta + 3 * r
+    assert extinction_lower_bound(BoundInputs(gamma0=W, delta=delta, E=E, r=r)).condition_met == premise
+    if extinction_lower_bound(BoundInputs(gamma0=gamma0, delta=delta, E=E, r=r)).condition_met:
+        assert premise  # a start below full infection only lowers gamma0
